@@ -4,6 +4,8 @@ A module-scoped workspace runs simulate + train once; individual tests
 reuse those artifacts to keep the suite fast.
 """
 
+import shutil
+
 import numpy as np
 import pytest
 
@@ -134,6 +136,16 @@ class TestTrain:
         code = main(["train", "--config", str(workspace / "run.cfg"),
                      "--data", str(tmp_path / "nowhere"), "--out", str(tmp_path / "m")])
         assert code == 1
+
+    def test_stray_dataset_entry(self, workspace, tmp_path, capsys):
+        data = tmp_path / "data"
+        shutil.copytree(workspace / "data", data)
+        (data / "pairs" / "notes").write_text("not a pair\n")
+        code = main(["train", "--config", str(workspace / "run.cfg"),
+                     "--data", str(data), "--out", str(tmp_path / "m")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert str(data) in err and "'notes'" in err
 
     def test_too_many_val_pairs(self, workspace, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"

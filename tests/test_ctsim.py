@@ -144,7 +144,45 @@ class TestGeometry:
         assert ang[-1] < np.pi
 
 
+def direct_projection(grid, geom, ps):
+    """Per-sample bilinear line integrals with explicit bounds checks: the
+    projector's definition, free of padding and flat-index arithmetic."""
+    H, W = grid.shape
+    step = 0.5 * ps
+    half_len = 0.5 * np.sqrt(2.0) * H * ps
+    s = np.arange(-half_len, half_len + step, step)
+    theta = geom.angles[:, None, None]
+    t = geom.detector_positions[None, :, None]
+    xi = (t * np.cos(theta) - s * np.sin(theta)) / ps + (H - 1) / 2.0
+    yi = (t * np.sin(theta) + s * np.cos(theta)) / ps + (H - 1) / 2.0
+    x0, y0 = np.floor(xi).astype(int), np.floor(yi).astype(int)
+    fx, fy = xi - x0, yi - y0
+    samples = np.zeros(xi.shape)
+    for dy, dx, w in ((0, 0, (1 - fy) * (1 - fx)), (0, 1, (1 - fy) * fx),
+                      (1, 0, fy * (1 - fx)), (1, 1, fy * fx)):
+        y, x = y0 + dy, x0 + dx
+        inside = (0 <= y) & (y < H) & (0 <= x) & (x < W)
+        samples[inside] += grid[y[inside], x[inside]] * w[inside]
+    return samples.sum(axis=2) * step
+
+
 class TestForwardProject:
+    @pytest.mark.parametrize("spacing", [1.0, 0.7])
+    def test_matches_direct_bilinear_reference(self, spacing):
+        # a grid-filling image plus hot pixels at the corners and edge
+        # midpoints: a flat index wrapping from one row's end into the next
+        # row, or a wrong pixel-spacing scale, shows up as a mismatch
+        geom = default_geometry(32, spacing, n_views=12)
+        images = [np.random.default_rng(7).uniform(0.0, 0.03, size=(32, 32))]
+        for r, c in ((0, 0), (0, 31), (31, 0), (31, 31), (0, 16), (16, 0), (31, 16), (16, 31)):
+            hot = np.zeros((32, 32))
+            hot[r, c] = 1.0
+            images.append(hot)
+        for grid in images:
+            got = forward_project(CtImage(grid, MU_PER_MM, spacing), geom).values
+            want = direct_projection(grid, geom, spacing)
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
+
     def test_gaussian_blob_analytic(self):
         # closed-form Radon transform of a centered isotropic Gaussian
         geom = default_geometry(64)
@@ -376,3 +414,11 @@ class TestDataset:
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(FileNotFoundError, match="manifest"):
             load_dataset(tmp_path)
+
+    @pytest.mark.parametrize("stray", ["notes", ".DS_Store"])
+    def test_stray_pair_entry_named(self, tmp_path, stray):
+        pairs = make_dataset(1, 64, DoseConfig(), seed=0, geom=default_geometry(64, n_views=30))
+        save_dataset(pairs, tmp_path / "ds", {"geom.pixel_spacing_mm": 1.0})
+        (tmp_path / "ds" / "pairs" / stray).touch()
+        with pytest.raises(ValueError, match=f"ds.*'{stray}'.* not a pair index"):
+            load_dataset(tmp_path / "ds")
