@@ -11,6 +11,7 @@ that equal dose fractions reproduce identical images.
 from __future__ import annotations
 
 import math
+import shutil
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -352,9 +353,13 @@ def make_dataset(n_pairs, size, dose, seed, geom=None, n_ellipses=6,
 
 
 def save_dataset(pairs, out_dir, manifest):
-    """Write pairs/<idx>/{ld,nd}.tct plus a flat-text manifest."""
+    """Write pairs/<idx>/{ld,nd}.tct plus a flat-text manifest, removing
+    higher-numbered pairs an earlier, larger dataset left in ``out_dir``."""
     out = Path(out_dir)
     (out / "pairs").mkdir(parents=True, exist_ok=True)
+    for stale in (out / "pairs").iterdir():
+        if stale.name.isdecimal() and int(stale.name) >= len(pairs):
+            shutil.rmtree(stale)
     for i, pair in enumerate(pairs):
         pdir = out / "pairs" / str(i)
         pdir.mkdir(exist_ok=True)

@@ -3,13 +3,15 @@
 The engine is deliberately small. Every operation computes its result
 eagerly and records a closure that maps the output gradient back to the
 input gradients; ``Tensor.backward()`` then walks the recorded graph once
-in reverse topological order. Broadcasting is supported only where the
-network needs it (bias adds, scalar scaling), and only float32/float64
-data is allowed: float32 is the compute default, float64 exists for
-finite-difference gradient checking.
+in reverse topological order; inside ``no_grad()`` nothing is recorded.
+Broadcasting is supported only where the network needs it (bias adds,
+scalar scaling), and only float32/float64 data is allowed: float32 is the
+compute default, float64 exists for finite-difference gradient checking.
 """
 
 from __future__ import annotations
+
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -20,6 +22,10 @@ _FLOAT_DTYPES = (np.float32, np.float64)
 
 class ShapeError(ValueError):
     """Operand shapes are incompatible for the requested operation."""
+
+
+class NonFiniteError(ValueError):
+    """An operation met NaN or infinite input it cannot handle."""
 
 
 def _as_array(data, dtype):
@@ -209,12 +215,32 @@ class Parameter:
 
 # -- graph plumbing ----------------------------------------------------
 
+_grad_enabled = True
+
+
+@contextmanager
+def no_grad():
+    """Record no graph inside the block.
+
+    Ops still compute their results, but return tensors that do not
+    require grad and hold no parents or backward closures, so inputs and
+    intermediates are freed as soon as nothing else references them.
+    Blocks nest; the previous state is restored on exit, also on error.
+    """
+    global _grad_enabled
+    prev = _grad_enabled
+    _grad_enabled = False
+    try:
+        yield
+    finally:
+        _grad_enabled = prev
+
 
 def _result(arr, parents, backward):
     out = Tensor.__new__(Tensor)
     out.data = arr
     out.grad = None
-    out.requires_grad = any(p.requires_grad for p in parents)
+    out.requires_grad = _grad_enabled and any(p.requires_grad for p in parents)
     if out.requires_grad:
         out._parents = tuple(parents)
         out._backward = backward
@@ -404,10 +430,11 @@ def leaky_relu(x, slope=0.2):
 
 def softmax(x, axis=-1):
     if not np.isfinite(x.data).all():
-        raise ValueError("softmax: input contains NaN or infinite values")
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=axis, keepdims=True)
+        raise NonFiniteError("softmax: input contains NaN or infinite values")
+    # one buffer for shift, exp and normalisation; x.data is left untouched
+    out = x.data - x.data.max(axis=axis, keepdims=True)
+    np.exp(out, out=out)
+    out /= out.sum(axis=axis, keepdims=True)
 
     def backward(g):
         inner = (g * out).sum(axis=axis, keepdims=True)

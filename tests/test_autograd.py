@@ -19,6 +19,7 @@ from ctdenoise.tensor import (
     matmul,
     mul,
     neg,
+    no_grad,
     pixel_shuffle,
     pixel_unshuffle,
     reshape,
@@ -224,3 +225,44 @@ class TestGraphSemantics:
         loss.backward()
         assert x.grad.dtype == np.float32
         assert np.allclose(x.grad, 0.5)
+
+
+class TestNoGrad:
+    def _op(self, x):
+        return tsum(mul(conv2d(x, Tensor(np.ones((2, 1, 3, 3)), requires_grad=True),
+                               Tensor(np.zeros(2))), 2.0))
+
+    def test_records_nothing(self):
+        x = Tensor(np.ones((1, 1, 4, 4)), requires_grad=True)
+        with no_grad():
+            outs = [self._op(x), softmax(x, axis=-1), matmul(x, x), add(x, 1.0)]
+        for out in outs:
+            assert not out.requires_grad
+            assert out._backward is None and out._parents == ()
+        assert x.requires_grad
+
+    def test_restored_after_nesting(self):
+        x = Tensor(np.ones((1, 1, 4, 4)), requires_grad=True)
+        with no_grad():
+            with no_grad():
+                assert not self._op(x).requires_grad
+            # leaving the inner block must not re-enable recording
+            assert not self._op(x).requires_grad
+        assert self._op(x).requires_grad
+
+    def test_restored_after_exception(self):
+        x = Tensor(np.ones((1, 1, 4, 4)), requires_grad=True)
+        with pytest.raises(RuntimeError, match="inside"):
+            with no_grad():
+                raise RuntimeError("raised inside no_grad")
+        out = self._op(x)
+        assert out.requires_grad and out._backward is not None
+
+    def test_backward_works_after_the_block(self):
+        rng = np.random.default_rng(22)
+        x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+        with no_grad():
+            mul(x, x).sum()
+        loss = mul(x, x).sum()
+        loss.backward()
+        assert np.array_equal(x.grad, 2.0 * x.data)

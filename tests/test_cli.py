@@ -11,6 +11,7 @@ import pytest
 
 from ctdenoise.cli import THREADS_ENV, main
 from ctdenoise.config import parse_config_text
+from ctdenoise.ctsim import load_dataset
 from ctdenoise.tctio import read_tensor, write_tensor
 
 SMOKE_CFG = """
@@ -63,6 +64,17 @@ class TestSimulate:
         cfg = workspace / "run.cfg"
         assert main(["simulate", "--config", str(cfg), "--out", str(workspace / "data")]) == 1
         assert "--force" in capsys.readouterr().err
+
+    def test_force_smaller_dataset_drops_stale_pairs(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        out = tmp_path / "d"
+        for n in (3, 2):
+            cfg.write_text(f"data.n_pairs = {n}\ndata.size = 32\ndata.n_views = 20\n")
+            assert main(["simulate", "--config", str(cfg), "--out", str(out), "--force"]) == 0
+        pairs, manifest = load_dataset(out)
+        assert len(pairs) == 2
+        assert manifest["data.n_pairs"] == "2"
+        assert sorted(p.name for p in (out / "pairs").iterdir()) == ["0", "1"]
 
     def test_seed_override_reaches_manifest(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

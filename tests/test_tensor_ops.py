@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ctdenoise.tensor import (
+    NonFiniteError,
     ShapeError,
     Tensor,
     add,
@@ -190,6 +191,25 @@ class TestNonlinearities:
             softmax(Tensor(np.array([1.0, np.nan])))
         with pytest.raises(ValueError):
             softmax(Tensor(np.array([1.0, np.inf])))
+
+    def test_softmax_non_finite_error_is_typed(self):
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(NonFiniteError, match="^softmax: input contains NaN or infinite values$"):
+                softmax(Tensor(np.array([1.0, bad])))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shift", [0.0, 1000.0, -1000.0])
+    @pytest.mark.parametrize("axis", [-1, 1])
+    def test_softmax_bitwise_formula_and_input_untouched(self, dtype, shift, axis):
+        rng = np.random.default_rng(8)
+        x = (rng.normal(size=(2, 6, 9)) * 4 + shift).astype(dtype)
+        before = x.copy()
+        out = softmax(Tensor(x), axis=axis).data
+        assert np.array_equal(x, before)
+        e = np.exp(x - x.max(axis=axis, keepdims=True))
+        ref = e / e.sum(axis=axis, keepdims=True)
+        assert out.dtype == ref.dtype
+        assert np.array_equal(out, ref)
 
 
 class TestConv2d:

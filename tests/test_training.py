@@ -2,11 +2,14 @@
 bridge used at the network boundary."""
 
 import json
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import ctdenoise as cd
 from ctdenoise.ctsim import HU, MU_PER_MM, CtImage, DoseConfig, TrainingPair, make_dataset
+from ctdenoise.freq import decompose
 from ctdenoise.model import ModelConfig, build_model
 from ctdenoise.tensor import ShapeError, Tensor, add
 from ctdenoise.training import (
@@ -15,6 +18,7 @@ from ctdenoise.training import (
     TrainConfig,
     TrainingDiverged,
     _hu_to_rel,
+    _pad_to_multiple,
     _rel_to_hu,
     denoise_image,
     load_checkpoint,
@@ -130,6 +134,39 @@ class TestDenoiseImage:
         a = denoise_image(model, img).grid
         b = denoise_image(model, img).grid
         assert np.array_equal(a, b)
+
+    @staticmethod
+    def _graph_forward(model, img):
+        """The model on the same bands denoise_image builds, with the
+        autograd graph recorded."""
+        padded, _ = _pad_to_multiple(_hu_to_rel(img.grid), 32)
+        bands = decompose(padded, model.config.sigma)
+        return model(Tensor(bands.low.data[None, None]), Tensor(bands.high.data[None, None]))
+
+    def test_graph_free_output_bitwise_equal(self):
+        model = build_model(ModelConfig(**TINY))
+        img = CtImage(np.random.default_rng(4).uniform(-500, 500, (70, 64)).astype(np.float32), HU)
+        recorded = self._graph_forward(model, img)
+        assert recorded.requires_grad and recorded._backward is not None
+        expected = np.maximum(_rel_to_hu(recorded.data[0, 0, :70, :64]), -1000.0).astype(np.float32)
+        assert np.array_equal(denoise_image(model, img).grid, expected)
+        assert all(p.value.requires_grad for p in model.parameters())
+
+    def test_graph_free_peak_memory(self):
+        model = build_model(ModelConfig(width=0.25, seed=3))
+        img = CtImage(np.random.default_rng(5).uniform(-500, 500, (256, 256)).astype(np.float32), HU)
+
+        def peak(fn):
+            tracemalloc.start()
+            try:
+                fn()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        recorded = peak(lambda: self._graph_forward(model, img))
+        graph_free = peak(lambda: denoise_image(model, img))
+        assert graph_free < recorded / 2, (graph_free, recorded)
 
 
 class TestValidate:
@@ -276,6 +313,30 @@ class TestTrainLoop:
         restored, epoch = load_checkpoint(tmp_path / "checkpoint.tck")
         assert epoch < 4
         assert all(np.isfinite(p.data).all() for p in restored.parameters())
+
+    @pytest.mark.parametrize("failing_call", [1, 2], ids=["train_step", "validation"])
+    def test_unrelated_value_error_is_not_divergence(self, tmp_path, failing_call):
+        # only a typed NonFiniteError means divergence; a ValueError that
+        # merely mentions the same words must surface unchanged
+        model = build_model(ModelConfig(**TINY))
+        calls = []
+
+        class Raising:
+            config = model.config
+            parameters = model.parameters
+            zero_grad = model.zero_grad
+
+            def __call__(self, x_low, x_high):
+                calls.append(None)
+                if len(calls) == failing_call:
+                    raise ValueError("user hook saw NaN or infinite values")
+                return model(x_low, x_high)
+
+        pairs = tiny_pairs(3)
+        cfg = TrainConfig(epochs=1, batch_size=2, seed=0)
+        with pytest.raises(ValueError, match="user hook"):
+            train(Raising(), pairs[:2], pairs[2:], cfg, tmp_path)
+        assert len(calls) == failing_call
 
     def test_patch_size_validation(self, tmp_path):
         model = build_model(ModelConfig(**TINY))
