@@ -14,7 +14,6 @@ every shape relation intact.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,15 +24,14 @@ from .tensor import (
     ShapeError,
     Tensor,
     add,
+    attention,
     concat,
     conv2d,
     leaky_relu,
     linear,
-    matmul,
     pixel_shuffle,
     pixel_unshuffle,
     reshape,
-    softmax,
     transpose,
 )
 
@@ -175,17 +173,7 @@ class MultiHeadAttention(Module):
 
     def __call__(self, q, kv=None):
         kv = q if kv is None else kv
-        B, N, C = q.shape
-        M = kv.shape[1]
-        h = self.n_heads
-        d = C // h
-        qh = transpose(reshape(self.wq(q), (B, N, h, d)), (0, 2, 1, 3))
-        kh = transpose(reshape(self.wk(kv), (B, M, h, d)), (0, 2, 3, 1))
-        vh = transpose(reshape(self.wv(kv), (B, M, h, d)), (0, 2, 1, 3))
-        scores = matmul(qh, kh) * (1.0 / math.sqrt(d))
-        attn = softmax(scores, axis=-1)
-        ctx = transpose(matmul(attn, vh), (0, 2, 1, 3))
-        return self.wo(reshape(ctx, (B, N, C)))
+        return self.wo(attention(self.wq(q), self.wk(kv), self.wv(kv), self.n_heads))
 
 
 class FeedForward(Module):

@@ -11,6 +11,7 @@ compute default, float64 exists for finite-difference gradient checking.
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 
 import numpy as np
@@ -417,33 +418,113 @@ def concat(tensors, axis):
 def leaky_relu(x, slope=0.2):
     if not 0.0 < slope < 1.0:
         raise ValueError(f"leaky_relu slope must lie in (0,1), got {slope}")
-    pos = x.data > 0
-    arr = np.where(pos, x.data, x.data * x.data.dtype.type(slope))
+    # for 0 < slope < 1 this equals where(x > 0, x, x * slope) bit for bit,
+    # signed zeros, NaN, inf and subnormals included
+    arr = np.maximum(x.data, x.data * x.data.dtype.type(slope))
 
     def backward(g):
         one = x.data.dtype.type(1.0)
         s = x.data.dtype.type(slope)
-        return (g * np.where(pos, one, s),)
+        return (g * np.where(x.data > 0, one, s),)
 
     return _result(arr, (x,), backward)
 
 
-def softmax(x, axis=-1):
-    if not np.isfinite(x.data).all():
+def _softmax_into(x, out, axis):
+    """Write softmax(x) along ``axis`` into ``out``, which may be ``x``."""
+    if not np.isfinite(x).all():
         raise NonFiniteError("softmax: input contains NaN or infinite values")
-    # one buffer for shift, exp and normalisation; x.data is left untouched
-    out = x.data - x.data.max(axis=axis, keepdims=True)
+    # one buffer for shift, exp and normalisation
+    np.subtract(x, x.max(axis=axis, keepdims=True), out=out)
     np.exp(out, out=out)
     out /= out.sum(axis=axis, keepdims=True)
+    return out
+
+
+def _softmax_grad(p, g, axis):
+    """Input gradient of a softmax with output ``p`` and output gradient ``g``."""
+    return p * (g - (g * p).sum(axis=axis, keepdims=True))
+
+
+def softmax(x, axis=-1):
+    out = _softmax_into(x.data, np.empty_like(x.data), axis)
 
     def backward(g):
-        inner = (g * out).sum(axis=axis, keepdims=True)
-        return (out * (g - inner),)
+        return (_softmax_grad(out, g, axis),)
 
     return _result(out, (x,), backward)
 
 
 # -- structured ops -----------------------------------------------------
+
+# query rows per attention block: 4 heads x 128 rows x 1024 keys of float32
+# scores is 2 MiB, against 16 MiB for all 1024 rows at once
+_ATTENTION_ROWS = 128
+
+
+def attention(q, k, v, n_heads):
+    """Multi-head scaled dot-product attention, one graph node.
+
+    ``q`` is (B, N, C) and ``k``, ``v`` are (B, M, C); the channels split
+    into ``n_heads`` heads of C / n_heads, and the result is (B, N, C)
+    with the heads side by side. softmax(q k^T / sqrt(d)) v runs over
+    blocks of at most ``_ATTENTION_ROWS`` query rows, so without a graph
+    only one block of scores exists at a time; with one, the (B, h, N, M)
+    probabilities are kept for the backward pass. The blocks split N
+    evenly, so none has a single row unless N does; numpy would send a
+    one-row product to gemv instead of gemm. Whether a block product then
+    matches the unblocked one bit for bit is up to the BLAS kernels:
+    OpenBLAS 0.3.31 keeps it for heads of 16 or more channels.
+    """
+    if q.ndim != 3 or k.ndim != 3 or v.shape != k.shape:
+        raise ShapeError(
+            f"attention needs (B, N, C) queries and equal (B, M, C) keys and "
+            f"values, got {q.shape}, {k.shape}, {v.shape}"
+        )
+    B, N, C = q.shape
+    M = k.shape[1]
+    if k.shape[0] != B or k.shape[2] != C:
+        raise ShapeError(f"attention: keys {k.shape} do not match queries {q.shape}")
+    if C % n_heads != 0:
+        raise ShapeError(f"{C} channels do not split into {n_heads} heads")
+    h, d = n_heads, C // n_heads
+    scale = q.data.dtype.type(1.0 / math.sqrt(d))
+    qh = np.ascontiguousarray(q.data.reshape(B, N, h, d).transpose(0, 2, 1, 3))
+    kh = np.ascontiguousarray(k.data.reshape(B, M, h, d).transpose(0, 2, 3, 1))
+    vh = np.ascontiguousarray(v.data.reshape(B, M, h, d).transpose(0, 2, 1, 3))
+
+    n_blocks = -(-N // _ATTENTION_ROWS)
+    bounds = [N * b // n_blocks for b in range(n_blocks + 1)]
+    # with a graph every block lands in the probabilities backward reads;
+    # without one a single block-sized buffer is reused
+    keep = _grad_enabled and (q.requires_grad or k.requires_grad or v.requires_grad)
+    probs = np.empty((B, h, N if keep else bounds[1], M), dtype=qh.dtype)
+    out = np.empty((B, N, h, d), dtype=qh.dtype)
+    for i, j in zip(bounds[:-1], bounds[1:]):
+        s = probs[:, :, i:j] if keep else probs[:, :, : j - i]
+        np.matmul(qh[:, :, i:j], kh, out=s)
+        s *= scale
+        _softmax_into(s, s, axis=-1)
+        np.matmul(s, vh, out=out[:, i:j].transpose(0, 2, 1, 3))
+
+    def backward(g):
+        gctx = np.ascontiguousarray(g.reshape(B, N, h, d).transpose(0, 2, 1, 3))
+        gq = gk = gv = None
+        if v.requires_grad:
+            gvh = np.swapaxes(probs, -1, -2) @ gctx
+            gv = np.ascontiguousarray(gvh.transpose(0, 2, 1, 3)).reshape(B, M, C)
+        if q.requires_grad or k.requires_grad:
+            gs = _softmax_grad(probs, gctx @ np.swapaxes(vh, -1, -2), axis=-1)
+            gs *= scale
+            if q.requires_grad:
+                gqh = gs @ np.swapaxes(kh, -1, -2)
+                gq = np.ascontiguousarray(gqh.transpose(0, 2, 1, 3)).reshape(B, N, C)
+            if k.requires_grad:
+                gkh = np.swapaxes(qh, -1, -2) @ gs
+                gk = np.ascontiguousarray(gkh.transpose(0, 3, 1, 2)).reshape(B, M, C)
+        return gq, gk, gv
+
+    return _result(out.reshape(B, N, C), (q, k, v), backward)
 
 
 def conv2d(x, weight, bias, stride=1, padding="same"):

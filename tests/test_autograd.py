@@ -12,6 +12,7 @@ from ctdenoise.tensor import (
     ShapeError,
     Tensor,
     add,
+    attention,
     concat,
     conv2d,
     leaky_relu,
@@ -38,6 +39,18 @@ TOL = 1e-4
 def _away_from_zero(rng, shape, margin=0.25):
     x = rng.uniform(margin, 1.5, size=shape)
     return x * rng.choice([-1.0, 1.0], size=shape)
+
+
+def _attention_chain(q, k, v, n_heads):
+    """Multi-head attention as a chain of the elementary ops."""
+    B, N, C = q.shape
+    M = k.shape[1]
+    h, d = n_heads, C // n_heads
+    qh = transpose(reshape(q, (B, N, h, d)), (0, 2, 1, 3))
+    kh = transpose(reshape(k, (B, M, h, d)), (0, 2, 3, 1))
+    vh = transpose(reshape(v, (B, M, h, d)), (0, 2, 1, 3))
+    p = softmax(matmul(qh, kh) * (1.0 / np.sqrt(d)), axis=-1)
+    return reshape(transpose(matmul(p, vh), (0, 2, 1, 3)), (B, N, C))
 
 
 class TestElementwiseGrads:
@@ -162,6 +175,37 @@ class TestStructuredGrads:
     def test_pixel_unshuffle(self):
         rng = np.random.default_rng(20)
         gradcheck(lambda x: pixel_unshuffle(x, 2), [rng.normal(size=(1, 2, 6, 4))], TOL)
+
+
+class TestAttentionGrads:
+    @pytest.mark.parametrize("n_heads", [1, 4])
+    @pytest.mark.parametrize("N,M", [(5, 5), (4, 7)], ids=["self", "cross"])
+    def test_attention(self, n_heads, N, M):
+        rng = np.random.default_rng(21 + n_heads + M)
+        gradcheck(
+            lambda q, k, v: attention(q, k, v, n_heads),
+            [rng.normal(size=(2, N, 8)), rng.normal(size=(2, M, 8)), rng.normal(size=(2, M, 8))],
+            TOL,
+        )
+
+    def test_attention_one_tensor_in_all_three_roles(self):
+        rng = np.random.default_rng(22)
+        gradcheck(lambda x: attention(x, x, x, 2), [rng.normal(size=(1, 6, 4))], TOL)
+
+    @pytest.mark.parametrize("M", [300, 40], ids=["self", "cross"])
+    def test_attention_blocks_match_op_chain(self, M):
+        # 300 query rows split into several row blocks, none of them full
+        rng = np.random.default_rng(23)
+        arrays = [rng.normal(size=(2, 300, 8)), rng.normal(size=(2, M, 8)), rng.normal(size=(2, M, 8))]
+        probe = rng.normal(size=(2, 300, 8))
+        results = []
+        for op in (attention, _attention_chain):
+            q, k, v = (Tensor(a, requires_grad=True) for a in arrays)
+            out = op(q, k, v, 2)
+            (out * Tensor(probe)).sum().backward()
+            results.append([out.data, q.grad, k.grad, v.grad])
+        for got, ref in zip(*results):
+            np.testing.assert_allclose(got, ref, rtol=1e-12)
 
 
 class TestGraphSemantics:

@@ -1,5 +1,7 @@
 """Forward-path checks of the tensor ops against independent references."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,12 +10,14 @@ from ctdenoise.tensor import (
     ShapeError,
     Tensor,
     add,
+    attention,
     concat,
     conv2d,
     leaky_relu,
     linear,
     matmul,
     mul,
+    no_grad,
     pixel_shuffle,
     pixel_unshuffle,
     reshape,
@@ -166,6 +170,21 @@ class TestNonlinearities:
         out = leaky_relu(Tensor(x), slope=0.2).data
         assert np.allclose(out, [-0.4, -0.1, 0.0, 0.5, 2.0])
 
+    @pytest.mark.parametrize("dtype,bits", [(np.float32, np.uint32), (np.float64, np.uint64)])
+    def test_leaky_relu_bitwise_equals_where_form(self, dtype, bits):
+        fi = np.finfo(dtype)
+        specials = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, fi.max, -fi.max,
+                    fi.smallest_normal, -fi.smallest_normal,
+                    fi.smallest_subnormal, -fi.smallest_subnormal,
+                    3 * fi.smallest_subnormal, -3 * fi.smallest_subnormal]
+        x = np.concatenate([np.array(specials, dtype=dtype),
+                            np.random.default_rng(4).normal(size=200).astype(dtype)])
+        for slope in (0.2, 0.01, 0.5, 0.99):
+            ref = np.where(x > 0, x, x * dtype(slope))
+            out = leaky_relu(Tensor(x), slope=slope).data
+            assert out.dtype == dtype
+            assert np.array_equal(out.view(bits), ref.view(bits)), slope
+
     def test_leaky_relu_slope_domain(self):
         for bad in (0.0, 1.0, -0.1, 2.0):
             with pytest.raises(ValueError):
@@ -210,6 +229,65 @@ class TestNonlinearities:
         ref = e / e.sum(axis=axis, keepdims=True)
         assert out.dtype == ref.dtype
         assert np.array_equal(out, ref)
+
+
+class TestAttention:
+    # one (1, 4, 1024, 1024) float32 score tensor
+    SCORE_BYTES = 4 * 1024 * 1024 * 4
+
+    @staticmethod
+    def _tokens():
+        rng = np.random.default_rng(12)
+        return [Tensor(rng.normal(size=(1, 1024, 64)).astype(np.float32), requires_grad=True)
+                for _ in range(3)]
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    @pytest.mark.parametrize("recording", [True, False], ids=["graph", "no_grad"])
+    def test_overflowing_scores_raise_softmax_error(self, recording):
+        # 1e20 * 1e20 is past the float32 maximum, so the scores hold inf
+        q = Tensor(np.full((1, 3, 4), 1e20, dtype=np.float32), requires_grad=True)
+        k = Tensor(np.full((1, 5, 4), 1e20, dtype=np.float32), requires_grad=True)
+        v = Tensor(np.ones((1, 5, 4), dtype=np.float32), requires_grad=True)
+        with pytest.raises(NonFiniteError, match="^softmax: input contains NaN or infinite values$"):
+            if recording:
+                attention(q, k, v, 2)
+            else:
+                with no_grad():
+                    attention(q, k, v, 2)
+
+    def test_shape_validation(self):
+        x = Tensor(np.zeros((1, 4, 6)))
+        with pytest.raises(ShapeError, match="heads"):
+            attention(x, x, x, 4)
+        with pytest.raises(ShapeError):
+            attention(x, Tensor(np.zeros((1, 4, 8))), Tensor(np.zeros((1, 4, 8))), 2)
+        with pytest.raises(ShapeError):
+            attention(x, x, Tensor(np.zeros((1, 5, 6))), 2)
+
+    def test_graph_free_peak_below_one_score_tensor(self):
+        q, k, v = self._tokens()
+        tracemalloc.start()
+        try:
+            with no_grad():
+                out = attention(q, k, v, 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (1, 1024, 64) and not out.requires_grad
+        assert peak < self.SCORE_BYTES, peak
+
+    def test_recording_keeps_the_probabilities(self):
+        q, k, v = self._tokens()
+        tracemalloc.start()
+        try:
+            out = attention(q, k, v, 4)
+            held = tracemalloc.get_traced_memory()[0]
+            del out
+            released = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held >= self.SCORE_BYTES, held
+        assert held - released >= self.SCORE_BYTES
 
 
 class TestConv2d:

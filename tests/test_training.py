@@ -314,6 +314,17 @@ class TestTrainLoop:
         assert epoch < 4
         assert all(np.isfinite(p.data).all() for p in restored.parameters())
 
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_attention_overflow_is_divergence(self, tmp_path):
+        # query and key biases of 1e20 overflow the float32 attention scores
+        model = build_model(ModelConfig(**TINY))
+        attn = model.encoders[0].attn
+        attn.wq.bias.data[:] = 1e20
+        attn.wk.bias.data[:] = 1e20
+        cfg = TrainConfig(epochs=1, batch_size=2, seed=0)
+        with pytest.raises(TrainingDiverged, match="non-finite loss at epoch 0"):
+            train(model, tiny_pairs(2), [], cfg, tmp_path)
+
     @pytest.mark.parametrize("failing_call", [1, 2], ids=["train_step", "validation"])
     def test_unrelated_value_error_is_not_divergence(self, tmp_path, failing_call):
         # only a typed NonFiniteError means divergence; a ValueError that
