@@ -467,14 +467,16 @@ def attention(q, k, v, n_heads):
 
     ``q`` is (B, N, C) and ``k``, ``v`` are (B, M, C); the channels split
     into ``n_heads`` heads of C / n_heads, and the result is (B, N, C)
-    with the heads side by side. softmax(q k^T / sqrt(d)) v runs over
-    blocks of at most ``_ATTENTION_ROWS`` query rows, so without a graph
-    only one block of scores exists at a time; with one, the (B, h, N, M)
-    probabilities are kept for the backward pass. The blocks split N
-    evenly, so none has a single row unless N does; numpy would send a
-    one-row product to gemv instead of gemm. Whether a block product then
-    matches the unblocked one bit for bit is up to the BLAS kernels:
-    OpenBLAS 0.3.31 keeps it for heads of 16 or more channels.
+    with the heads side by side. With a graph, softmax(q k^T / sqrt(d)) v
+    runs over all N query rows at once and the (B, h, N, M) probabilities
+    are kept for the backward pass, which repeats the arithmetic of the
+    reshape/transpose/matmul/mul/softmax chain. Under ``no_grad()`` it runs
+    over blocks of at most ``_ATTENTION_ROWS`` query rows, so only one
+    block of scores exists at a time. The blocks split N evenly, so none
+    has a single row unless N does; numpy would send a one-row product to
+    gemv instead of gemm. Whether a block product then matches the
+    unblocked one bit for bit is up to the BLAS kernels: OpenBLAS 0.3.31
+    keeps it for heads of 16 or more channels.
     """
     if q.ndim != 3 or k.ndim != 3 or v.shape != k.shape:
         raise ShapeError(
@@ -493,15 +495,16 @@ def attention(q, k, v, n_heads):
     kh = np.ascontiguousarray(k.data.reshape(B, M, h, d).transpose(0, 2, 3, 1))
     vh = np.ascontiguousarray(v.data.reshape(B, M, h, d).transpose(0, 2, 1, 3))
 
-    n_blocks = -(-N // _ATTENTION_ROWS)
-    bounds = [N * b // n_blocks for b in range(n_blocks + 1)]
-    # with a graph every block lands in the probabilities backward reads;
-    # without one a single block-sized buffer is reused
+    # with a graph the probabilities backward reads are all kept anyway, so
+    # one block computes them; without one, a buffer for the largest block
+    # is reused
     keep = _grad_enabled and (q.requires_grad or k.requires_grad or v.requires_grad)
-    probs = np.empty((B, h, N if keep else bounds[1], M), dtype=qh.dtype)
+    n_blocks = 1 if keep else -(-N // _ATTENTION_ROWS)
+    bounds = [N * b // n_blocks for b in range(n_blocks + 1)]
+    probs = np.empty((B, h, -(-N // n_blocks), M), dtype=qh.dtype)
     out = np.empty((B, N, h, d), dtype=qh.dtype)
     for i, j in zip(bounds[:-1], bounds[1:]):
-        s = probs[:, :, i:j] if keep else probs[:, :, : j - i]
+        s = probs[:, :, : j - i]
         np.matmul(qh[:, :, i:j], kh, out=s)
         s *= scale
         _softmax_into(s, s, axis=-1)

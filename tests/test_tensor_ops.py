@@ -264,6 +264,18 @@ class TestAttention:
         with pytest.raises(ShapeError):
             attention(x, x, Tensor(np.zeros((1, 5, 6))), 2)
 
+    @pytest.mark.parametrize("N", [281, 576])
+    def test_graph_free_blocks_match_recording(self, N):
+        # without a graph the query rows run in blocks of 93, 94 and 94,
+        # and of 115 x 4 and 116
+        rng = np.random.default_rng(13)
+        arrays = [rng.normal(size=(2, N, 16)).astype(np.float32) for _ in range(3)]
+        recorded = attention(*(Tensor(a, requires_grad=True) for a in arrays), 4)
+        with no_grad():
+            free = attention(*(Tensor(a, requires_grad=True) for a in arrays), 4)
+        assert recorded.requires_grad and not free.requires_grad
+        np.testing.assert_allclose(free.data, recorded.data, rtol=1e-5, atol=1e-6)
+
     def test_graph_free_peak_below_one_score_tensor(self):
         q, k, v = self._tokens()
         tracemalloc.start()

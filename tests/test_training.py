@@ -152,6 +152,15 @@ class TestDenoiseImage:
         assert np.array_equal(denoise_image(model, img).grid, expected)
         assert all(p.value.requires_grad for p in model.parameters())
 
+    def test_graph_free_output_at_uneven_attention_blocks(self):
+        # 384 x 384 gives 576 high-band tokens; without a graph the decoder
+        # attention runs them in blocks of 115 x 4 and 116 query rows
+        model = build_model(ModelConfig(**TINY))
+        img = CtImage(np.random.default_rng(6).uniform(-500, 500, (384, 384)).astype(np.float32), HU)
+        recorded = self._graph_forward(model, img)
+        expected = np.maximum(_rel_to_hu(recorded.data[0, 0]), -1000.0).astype(np.float32)
+        np.testing.assert_allclose(denoise_image(model, img).grid, expected, rtol=0, atol=1e-2)
+
     def test_graph_free_peak_memory(self):
         model = build_model(ModelConfig(width=0.25, seed=3))
         img = CtImage(np.random.default_rng(5).uniform(-500, 500, (256, 256)).astype(np.float32), HU)
