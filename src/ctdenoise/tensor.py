@@ -42,8 +42,10 @@ class Tensor:
     """N-d row-major array, optionally tracked for gradients.
 
     Tensors are immutable once created; only the optimizer writes into
-    parameter data in place. ``grad`` is populated by ``backward`` and
-    accumulates across calls until ``zero_grad``.
+    parameter data in place. ``backward`` populates ``grad`` on leaves only
+    (tensors no op produced, such as parameters and inputs), where it
+    accumulates across calls until ``zero_grad``; op results keep
+    ``grad`` None.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
@@ -120,11 +122,13 @@ class Tensor:
             g = flowing.pop(id(node), None)
             if g is None:
                 continue
-            if node.grad is None:
-                node.grad = g.copy()
-            else:
-                node.grad += g
             if node._backward is None:
+                # only leaves keep a gradient; an intermediate's lives in
+                # `flowing` until its closure has consumed it
+                if node.grad is None:
+                    node.grad = g.copy()
+                else:
+                    node.grad += g
                 continue
             for parent, pg in zip(node._parents, node._backward(g)):
                 if pg is None or not parent.requires_grad:
@@ -559,14 +563,20 @@ def conv2d(x, weight, bias, stride=1, padding="same"):
         raise ValueError(f"stride must be a positive int, got {stride}")
 
     pad = k // 2
-    xp = np.pad(x.data, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    Hp, Wp = xp.shape[2], xp.shape[3]
-    windows = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(2, 3))
-    windows = windows[:, :, ::stride, ::stride]
-    Ho, Wo = windows.shape[2], windows.shape[3]
-    cols = np.ascontiguousarray(windows.transpose(0, 2, 3, 1, 4, 5)).reshape(
-        B, Ho * Wo, C * k * k
-    )
+    Hp, Wp = H + 2 * pad, W + 2 * pad
+    Ho, Wo = -(-H // stride), -(-W // stride)
+    # one zero-padded channels-last copy, then k*k strided slice copies into
+    # (B, Ho, Wo, C, k, k) columns. K stays ordered (C, kh, kw) like the
+    # weights: another order changes the GEMM's float32 rounding, and the
+    # 2000-step overfit gate is sensitive to that.
+    xh = np.zeros((B, Hp, Wp, C), dtype=x.data.dtype)
+    xh[:, pad : pad + H, pad : pad + W] = x.data.transpose(0, 2, 3, 1)
+    cols = np.empty((B, Ho, Wo, C, k, k), dtype=x.data.dtype)
+    for i in range(k):
+        for j in range(k):
+            cols[..., i, j] = xh[:, i : i + stride * Ho : stride, j : j + stride * Wo : stride]
+    del xh
+    cols = cols.reshape(B, Ho * Wo, C * k * k)
     wmat = weight.data.reshape(Cout, C * k * k)
     out = cols @ wmat.T + bias.data
     arr = np.ascontiguousarray(out.reshape(B, Ho, Wo, Cout).transpose(0, 3, 1, 2))
@@ -580,13 +590,14 @@ def conv2d(x, weight, bias, stride=1, padding="same"):
             gb = g.sum(axis=(0, 2, 3))
         if x.requires_grad:
             gcols = (gmat @ wmat).reshape(B, Ho, Wo, C, k, k)
-            gxp = np.zeros((B, C, Hp, Wp), dtype=g.dtype)
+            # the (i, j) loop order fixes each input pixel's summation order
+            gxh = np.zeros((B, Hp, Wp, C), dtype=g.dtype)
             for i in range(k):
                 for j in range(k):
-                    gxp[:, :, i : i + stride * Ho : stride, j : j + stride * Wo : stride] += (
-                        gcols[:, :, :, :, i, j].transpose(0, 3, 1, 2)
+                    gxh[:, i : i + stride * Ho : stride, j : j + stride * Wo : stride] += (
+                        gcols[..., i, j]
                     )
-            gx = np.ascontiguousarray(gxp[:, :, pad : pad + H, pad : pad + W])
+            gx = np.ascontiguousarray(gxh[:, pad : pad + H, pad : pad + W].transpose(0, 3, 1, 2))
         return gx, gw, gb
 
     return _result(arr, (x, weight, bias), backward)

@@ -309,7 +309,8 @@ def train(model, pairs, val_pairs, cfg, out_dir):
                 gnorm = math.sqrt(sum(float(np.sum(g * g)) for g in grads))
                 if gnorm > cfg.clip_norm:
                     scale = cfg.clip_norm / gnorm
-                    grads = [g * scale for g in grads]
+                    for g in grads:
+                        g *= scale
             adam_step(params, grads, state, lr)
             losses.append(value)
 

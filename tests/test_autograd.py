@@ -31,6 +31,9 @@ from ctdenoise.tensor import (
     tsum,
 )
 
+from ctdenoise.model import ModelConfig, build_model
+from ctdenoise.training import mse_loss
+
 from conftest import gradcheck, rel_err
 
 TOL = 1e-4
@@ -228,6 +231,31 @@ class TestGraphSemantics:
         assert np.allclose(x.grad, 2.0 * first)
         x.zero_grad()
         assert x.grad is None
+
+    def test_only_leaves_keep_gradients(self):
+        model = build_model(ModelConfig(width=0.25, seed=4))
+        rng = np.random.default_rng(23)
+        x_low, x_high, target = (
+            Tensor(rng.normal(size=(2, 1, 64, 64)).astype(np.float32)) for _ in range(3)
+        )
+        loss = mse_loss(model(x_low, x_high), target)
+        params = model.parameters()
+        loss.backward()
+        nodes, stack, seen = [], [loss], set()
+        while stack:
+            node = stack.pop()
+            if id(node) not in seen:
+                seen.add(id(node))
+                nodes.append(node)
+                stack.extend(node._parents)
+        inner = [n for n in nodes if n._backward is not None]
+        assert len(inner) > 100
+        assert all(n.grad is None for n in inner)
+        assert all(p.grad is not None for p in params)
+        first = [p.grad.copy() for p in params]
+        loss.backward()
+        for p, f in zip(params, first):
+            assert np.array_equal(p.grad, 2 * f)
 
     def test_grad_stops_at_detach(self):
         x = Tensor(np.ones(3), requires_grad=True)

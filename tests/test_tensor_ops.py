@@ -53,6 +53,38 @@ def conv2d_reference(x, w, b, stride):
     return out
 
 
+def conv2d_im2col_reference(x, w, b, stride, g):
+    """conv2d as an im2col over a sliding-window view of the NCHW input:
+    forward output and (gx, gw, gb) for upstream g. conv2d's channels-last
+    gather must agree with it bit for bit."""
+    B, C, H, W = x.shape
+    Cout, _, k, _ = w.shape
+    pad = k // 2
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    Hp, Wp = xp.shape[2], xp.shape[3]
+    windows = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(2, 3))
+    windows = windows[:, :, ::stride, ::stride]
+    Ho, Wo = windows.shape[2], windows.shape[3]
+    cols = np.ascontiguousarray(windows.transpose(0, 2, 3, 1, 4, 5)).reshape(
+        B, Ho * Wo, C * k * k
+    )
+    wmat = w.reshape(Cout, C * k * k)
+    out = cols @ wmat.T + b
+    out = np.ascontiguousarray(out.reshape(B, Ho, Wo, Cout).transpose(0, 3, 1, 2))
+    gmat = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(B, Ho * Wo, Cout)
+    gw = np.tensordot(gmat, cols, axes=([0, 1], [0, 1])).reshape(w.shape)
+    gb = g.sum(axis=(0, 2, 3))
+    gcols = (gmat @ wmat).reshape(B, Ho, Wo, C, k, k)
+    gxp = np.zeros((B, C, Hp, Wp), dtype=g.dtype)
+    for i in range(k):
+        for j in range(k):
+            gxp[:, :, i : i + stride * Ho : stride, j : j + stride * Wo : stride] += (
+                gcols[:, :, :, :, i, j].transpose(0, 3, 1, 2)
+            )
+    gx = np.ascontiguousarray(gxp[:, :, pad : pad + H, pad : pad + W])
+    return out, gx, gw, gb
+
+
 def shuffle_reference(x, r):
     """Depth-to-space by explicit indexing: input channel c feeds output
     channel c // r^2 at sub-pixel offset ((c % r^2) // r, c % r)."""
@@ -313,6 +345,26 @@ class TestConv2d:
         ref = conv2d_reference(x, w, b, stride)
         assert out.shape == ref.shape
         assert rel_err(out, ref) < 1e-10
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_bitwise_equal_to_im2col_formula(self, k, stride, dtype):
+        rng = np.random.default_rng(11)
+        for B in (1, 3):
+            for C in (1, 5):
+                x = rng.normal(size=(B, C, 7, 5)).astype(dtype)
+                w = rng.normal(size=(4, C, k, k)).astype(dtype)
+                b = rng.normal(size=4).astype(dtype)
+                g = rng.normal(size=(B, 4, -(-7 // stride), -(-5 // stride))).astype(dtype)
+                ref = conv2d_im2col_reference(x, w, b, stride, g)
+                tx, tw, tb = (Tensor(a, requires_grad=True) for a in (x, w, b))
+                out = conv2d(tx, tw, tb, stride=stride)
+                # the upstream gradient reaching conv2d is exactly g
+                tsum(mul(out, Tensor(g))).backward()
+                for got, want in zip((out.data, tx.grad, tw.grad, tb.grad), ref):
+                    assert got.dtype == want.dtype and got.shape == want.shape
+                    assert np.array_equal(got, want), (B, C)
 
     def test_kernel_sizes(self):
         rng = np.random.default_rng(8)

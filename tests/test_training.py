@@ -2,6 +2,7 @@
 bridge used at the network boundary."""
 
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -11,6 +12,7 @@ import ctdenoise as cd
 from ctdenoise.ctsim import HU, MU_PER_MM, CtImage, DoseConfig, TrainingPair, make_dataset
 from ctdenoise.freq import decompose
 from ctdenoise.model import ModelConfig, build_model
+from ctdenoise.optim import AdamState, adam_step
 from ctdenoise.tensor import ShapeError, Tensor, add
 from ctdenoise.training import (
     CHECKPOINT_MAGIC,
@@ -19,6 +21,7 @@ from ctdenoise.training import (
     TrainingDiverged,
     _hu_to_rel,
     _pad_to_multiple,
+    _prepare,
     _rel_to_hu,
     denoise_image,
     load_checkpoint,
@@ -287,6 +290,24 @@ class TestTrainLoop:
         res = train(model, pairs, [], cfg, tmp_path)
         assert res.history[-1]["train_mse"] < res.history[0]["train_mse"]
         assert validate(model, pairs) < before
+
+    def test_clipped_step_matches_scaled_copies(self, tmp_path):
+        pairs = tiny_pairs(1)
+        cfg = TrainConfig(epochs=1, batch_size=1, lr_schedule=((0, 1e-3),), clip_norm=1e-3)
+        model = build_model(ModelConfig(**TINY))
+        train(model, pairs, [], cfg, tmp_path)
+
+        ref = build_model(ModelConfig(**TINY))
+        params = ref.parameters()
+        lows, highs, targets = _prepare(pairs, ref.config.sigma)
+        mse_loss(ref(Tensor(lows), Tensor(highs)), Tensor(targets)).backward()
+        grads = [p.grad for p in params]
+        gnorm = math.sqrt(sum(float(np.sum(g * g)) for g in grads))
+        assert gnorm > cfg.clip_norm  # the step clips
+        scale = cfg.clip_norm / gnorm
+        adam_step(params, [g * scale for g in grads], AdamState.for_params(params), 1e-3)
+        for got, want in zip(model.parameters(), params):
+            assert np.array_equal(got.data, want.data)
 
     def test_deterministic_runs(self, tmp_path):
         histories = []
