@@ -83,6 +83,13 @@ class TestSimulate:
                      "--out", str(tmp_path / "d")]) == 0
         assert "data.seed = 11" in (tmp_path / "d" / "manifest").read_text()
 
+    def test_zero_views_named(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("data.n_pairs = 1\ndata.size = 32\ndata.n_views = 0\n")
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "d")]) == 1
+        assert "n_views" in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
+
     def test_thread_env_validation(self, workspace, monkeypatch, capsys):
         cfg = workspace / "run.cfg"
         for bad in ("abc", "0"):

@@ -5,10 +5,13 @@ transforms (Gaussian blob, uniform disk) rather than against themselves,
 so a consistent-but-wrong scaling cannot pass.
 """
 
+import math
+
 import numpy as np
 import pytest
 from dataclasses import replace
 
+from ctdenoise import ctsim
 from ctdenoise.ctsim import (
     AIR_HU,
     HU,
@@ -143,6 +146,16 @@ class TestGeometry:
         assert ang[0] == 0.0
         assert ang[-1] < np.pi
 
+    @pytest.mark.parametrize("field, value", [
+        ("n_views", 0), ("n_views", -3), ("n_detectors", 0), ("image_size", 0),
+        ("detector_spacing_mm", 0.0), ("detector_spacing_mm", -1.0),
+        ("detector_spacing_mm", np.inf), ("pixel_spacing_mm", 0.0),
+        ("pixel_spacing_mm", -0.5), ("pixel_spacing_mm", np.nan),
+    ])
+    def test_rejects_bad_field(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ScanGeometry(**{field: value})
+
 
 def direct_projection(grid, geom, ps):
     """Per-sample bilinear line integrals with explicit bounds checks: the
@@ -164,6 +177,59 @@ def direct_projection(grid, geom, ps):
         inside = (0 <= y) & (y < H) & (0 <= x) & (x < W)
         samples[inside] += grid[y[inside], x[inside]] * w[inside]
     return samples.sum(axis=2) * step
+
+
+def full_row_projection(grid, geom, ps):
+    """The projector before per-ray windows: every sample of every ray is
+    marched, in blocks of 32 rays. The windowed projector must match it
+    byte for byte."""
+    pad = 2
+    H = grid.shape[0]
+    row = H + 2 * pad
+    flat = np.pad(grid.astype(np.float64), pad).ravel()
+    corners = (flat, flat[1:], flat[row:], flat[row + 1:])
+    step = 0.5 * ps
+    half_len = 0.5 * math.sqrt(2.0) * H * ps
+    s = np.arange(-half_len, half_len + step, step)
+    t = geom.detector_positions
+    center = (H - 1) / 2.0
+    values = np.empty((geom.n_views, geom.n_detectors), dtype=np.float64)
+    for vi, theta in enumerate(geom.angles):
+        ct, st = math.cos(theta), math.sin(theta)
+        t_ct, t_st, s_st, s_ct = t * ct, t * st, s * st, s * ct
+        for b in range(0, len(t), 32):
+            rays = slice(b, b + 32)
+            xi = np.clip((t_ct[rays, None] - s_st) / ps + center, -pad, H)
+            yi = np.clip((t_st[rays, None] + s_ct) / ps + center, -pad, H)
+            x0, y0 = np.floor(xi), np.floor(yi)
+            fx, fy = xi - x0, yi - y0
+            gx, gy = 1 - fx, 1 - fy
+            k = (y0 * row + x0 + pad * (row + 1)).astype(np.intp)
+            out = np.zeros(k.shape)
+            for c, w in zip(corners, (gy * gx, gy * fx, fy * gx, fy * fx)):
+                out += c.take(k) * w
+            values[vi, rays] = out.sum(axis=1) * step
+    return values
+
+
+def stress_images(size, seed):
+    """Grids that expose a skipped sample: inf borders (an edge sample
+    with weight 0 turns NaN), random signed zeros and negative values."""
+    rng = np.random.default_rng(seed)
+    signed = rng.uniform(-0.05, 0.05, size=(size, size))
+    top_left = signed.copy()
+    top_left[0, :], top_left[:, 0] = np.inf, -np.inf
+    bottom_right = signed.copy()
+    bottom_right[-1, :], bottom_right[:, -1] = -np.inf, np.inf
+    zeros = np.where(rng.random((size, size)) < 0.5, -0.0, 0.0)
+    return [signed, top_left, bottom_right, zeros]
+
+
+def assert_projects_like_full_rows(grid, geom, spacing):
+    with np.errstate(invalid="ignore"):
+        got = forward_project(CtImage(grid, MU_PER_MM, spacing), geom).values
+        want = full_row_projection(grid, geom, spacing)
+    assert got.tobytes() == want.tobytes()
 
 
 class TestForwardProject:
@@ -240,6 +306,29 @@ class TestForwardProject:
         img = CtImage(np.zeros((32, 48)), MU_PER_MM)
         with pytest.raises(ValueError, match="square"):
             forward_project(img, default_geometry(32))
+
+    def test_image_must_match_geometry(self):
+        with pytest.raises(ValueError, match="image_size 32"):
+            forward_project(CtImage(np.zeros((64, 64)), MU_PER_MM), default_geometry(32))
+        with pytest.raises(ValueError, match="pixel_spacing_mm 0.7"):
+            forward_project(CtImage(np.zeros((32, 32)), MU_PER_MM, 1.0),
+                            default_geometry(32, 0.7))
+
+    @pytest.mark.parametrize("size", [32, 33, 35, 64, 65])
+    @pytest.mark.parametrize("spacing", [1.0, 0.7, 1.3])
+    def test_bitwise_equal_to_full_rows(self, size, spacing):
+        # 1 view is theta = 0 only, where x is constant along a ray; 2 and
+        # 12 views include theta = pi/2, where y is constant up to rounding
+        for n_views in (1, 2, 12):
+            geom = default_geometry(size, spacing, n_views=n_views)
+            for grid in stress_images(size, seed=size):
+                assert_projects_like_full_rows(grid, geom, spacing)
+
+    @pytest.mark.parametrize("size, spacing", [(33, 1.3), (65, 0.7)])
+    def test_bitwise_equal_to_full_rows_at_360_views(self, size, spacing):
+        geom = default_geometry(size, spacing, n_views=360)
+        for grid in stress_images(size, seed=size)[1:3]:
+            assert_projects_like_full_rows(grid, geom, spacing)
 
 
 class TestPoissonNoise:
@@ -373,6 +462,10 @@ class TestSimulatePair:
         assert pair.ld.grid.min() >= AIR_HU
         assert pair.nd.grid.min() >= AIR_HU
 
+    def test_size_must_match_geometry(self):
+        with pytest.raises(ValueError, match="geom.image_size 32"):
+            simulate_pair(0, 0, 64, DoseConfig(), default_geometry(32))
+
     def test_pair_validation(self):
         ok = CtImage(np.zeros((8, 8), dtype=np.float32), HU)
         with pytest.raises(ValueError, match="disagree"):
@@ -398,6 +491,22 @@ class TestDataset:
     def test_count_validation(self):
         with pytest.raises(ValueError, match="n_pairs"):
             make_dataset(0, 64, DoseConfig(), seed=0)
+
+    def test_size_must_match_geometry(self):
+        with pytest.raises(ValueError, match="geom.image_size 32"):
+            make_dataset(1, 64, DoseConfig(), seed=0, geom=default_geometry(32))
+
+    def test_bits_match_full_row_projector(self, monkeypatch):
+        dose = DoseConfig(i0=5e4)
+        windowed = make_dataset(2, 64, dose, seed=3)
+        monkeypatch.setattr(
+            ctsim, "forward_project",
+            lambda img, geom: Sinogram(full_row_projection(img.grid, geom, img.pixel_spacing_mm),
+                                       geom))
+        full_rows = make_dataset(2, 64, dose, seed=3)
+        for a, b in zip(windowed, full_rows):
+            assert a.ld.grid.tobytes() == b.ld.grid.tobytes()
+            assert a.nd.grid.tobytes() == b.nd.grid.tobytes()
 
     def test_save_load_round_trip(self, tmp_path):
         pairs = make_dataset(3, 64, DoseConfig(i0=5e4), seed=13)
