@@ -7,6 +7,7 @@ scalars in row-major order.
 
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 
@@ -62,7 +63,8 @@ def tensor_from_bytes(buf, offset=0):
     if tag not in _TAG_TO_DTYPE:
         raise TensorFormatError(f"unknown dtype tag {tag} at byte {offset - 1}")
     dtype = _TAG_TO_DTYPE[tag]
-    count = int(np.prod(shape, dtype=np.int64)) if rank else 1
+    # Python ints: an int64 product of four u32 extents can wrap to a small count
+    count = math.prod(shape)
     nbytes = count * dtype.itemsize
     if offset + nbytes > len(buf):
         raise TensorFormatError(

@@ -6,6 +6,7 @@ so a consistent-but-wrong scaling cannot pass.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -225,6 +226,19 @@ def stress_images(size, seed):
     return [signed, top_left, bottom_right, zeros]
 
 
+def single_pixel_grids(size):
+    """One pixel on exact zeros, at a corner, an edge midpoint, the centre
+    and off the centre: the support disk from a point to the whole grid.
+    -0.0 is no support at all; NaN and inf turn a zero weight into NaN."""
+    grids = []
+    for value in (1.0, np.inf, -np.inf, np.nan, -0.0):
+        for r, c in ((0, 0), (0, size // 2), (size // 2, size // 2), (size // 3, 3 * size // 4)):
+            grid = np.zeros((size, size))
+            grid[r, c] = value
+            grids.append(grid)
+    return grids
+
+
 def assert_projects_like_full_rows(grid, geom, spacing):
     with np.errstate(invalid="ignore"):
         got = forward_project(CtImage(grid, MU_PER_MM, spacing), geom).values
@@ -329,6 +343,67 @@ class TestForwardProject:
         geom = default_geometry(size, spacing, n_views=360)
         for grid in stress_images(size, seed=size)[1:3]:
             assert_projects_like_full_rows(grid, geom, spacing)
+
+    @pytest.mark.parametrize("size", [32, 33, 64, 65])
+    @pytest.mark.parametrize("spacing", [1.0, 0.7, 1.3])
+    def test_bitwise_equal_to_full_rows_on_zero_borders(self, size, spacing):
+        # air is exactly mu = 0, so a phantom's support is its body disk
+        phantom = hu_to_mu(make_phantom(seed=size, size=size, pixel_spacing_mm=spacing)).grid
+        for n_views in (1, 2, 12):
+            geom = default_geometry(size, spacing, n_views=n_views)
+            assert_projects_like_full_rows(phantom, geom, spacing)
+            if size in (32, 33) or n_views == 12:
+                for grid in single_pixel_grids(size):
+                    assert_projects_like_full_rows(grid, geom, spacing)
+
+    @pytest.mark.parametrize("size, spacing", [(33, 1.3), (65, 0.7)])
+    def test_bitwise_equal_to_full_rows_on_one_pixel_at_360_views(self, size, spacing):
+        grid = np.zeros((size, size))
+        grid[1, size // 3] = np.inf
+        assert_projects_like_full_rows(grid, default_geometry(size, spacing, n_views=360),
+                                       spacing)
+
+
+class TestSampleWindows:
+    GEOM = default_geometry(128)
+
+    def counts(self, grid):
+        step = 0.5
+        s = np.arange(-0.5 * math.sqrt(2.0) * 128, 0.5 * math.sqrt(2.0) * 128 + step, step)
+        windows = ctsim._sample_windows(s, self.GEOM.detector_positions, self.GEOM.angles,
+                                        1.0, grid)
+        counts = np.array([count for _, count in windows])
+        assert counts.shape == (self.GEOM.n_views, self.GEOM.n_detectors)
+        return counts
+
+    def test_phantom_keeps_its_body_disk(self):
+        phantom = hu_to_mu(make_phantom(0, 128)).grid
+        ratio = self.counts(phantom).sum() / self.counts(np.ones((128, 128))).sum()
+        assert ratio < 0.7, ratio
+
+    def test_all_zero_image_keeps_nothing(self):
+        assert self.counts(np.zeros((128, 128))).sum() == 0
+        assert self.counts(np.full((128, 128), -0.0)).sum() == 0
+
+    @pytest.mark.parametrize("pixel", [None, (64, 64)])
+    def test_small_support_projects_in_little_memory(self, pixel):
+        # the ray group grows as the support shrinks; capped at one view it
+        # stays one view's rows
+        grid = np.zeros((128, 128))
+        if pixel:
+            grid[pixel] = 1.0
+        img = CtImage(grid, MU_PER_MM)
+        tracemalloc.start()
+        try:
+            values = forward_project(img, self.GEOM).values
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20, peak
+        if pixel is None:
+            assert values.tobytes() == np.zeros_like(values).tobytes()
+        else:
+            assert values.max() > 0
 
 
 class TestPoissonNoise:

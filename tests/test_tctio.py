@@ -89,6 +89,16 @@ class TestErrors:
         with pytest.raises(TensorFormatError, match="need 16 bytes, have 10"):
             tensor_from_bytes(full[: len(full) - 6])
 
+    @pytest.mark.parametrize("extents, payload", [((65536,) * 4, b""),
+                                                   ((2**32 - 1,) * 2, b"\x00" * 9)])
+    def test_overflowing_extents_are_a_truncated_payload(self, extents, payload):
+        # the element count overflows int64: 2**64 wraps to 0 and
+        # (2**32 - 1)**2 to a negative number
+        head = (b"TCT1" + bytes([len(extents)]) + struct.pack(f"<{len(extents)}I", *extents)
+                + bytes([0]))
+        with pytest.raises(TensorFormatError, match=f"truncated payload at byte {len(head)}"):
+            tensor_from_bytes(head + payload)
+
     def test_truncated_shape_table(self):
         head = b"TCT1" + bytes([3]) + b"\x01\x00"
         with pytest.raises(TensorFormatError, match="truncated shape"):
