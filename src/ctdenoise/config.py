@@ -8,6 +8,7 @@ fully resolved configuration so artifacts record exactly what produced them.
 from __future__ import annotations
 
 import difflib
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -30,33 +31,40 @@ def _parse_bool(text):
         raise ValueError(f"expected a boolean, got {text!r}") from None
 
 
+def _parse_float(text):
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {text!r}")
+    return value
+
+
 # key -> (parser, default)
 SCHEMA = {
     "data.n_pairs": (int, 10),
     "data.size": (int, 64),
     "data.n_ellipses": (int, 6),
     "data.n_views": (int, 360),
-    "data.i0": (float, 1e5),
-    "data.dose_fraction": (float, 0.25),
+    "data.i0": (_parse_float, 1e5),
+    "data.dose_fraction": (_parse_float, 0.25),
     "data.seed": (int, 0),
-    "model.width": (float, 0.25),
+    "model.width": (_parse_float, 0.25),
     "model.n_heads": (int, 4),
     "model.ffn_mult": (int, 8),
-    "model.lrelu_slope": (float, 0.2),
-    "model.sigma": (float, 1.5),
+    "model.lrelu_slope": (_parse_float, 0.2),
+    "model.sigma": (_parse_float, 1.5),
     "model.variant": (str, "full"),
     "model.use_positional": (_parse_bool, False),
     "model.pos_image_size": (int, 64),
     "model.seed": (int, 0),
     "train.epochs": (int, 300),
     "train.batch_size": (int, 8),
-    "train.lr": (float, 1e-4),
+    "train.lr": (_parse_float, 1e-4),
     "train.lr_drop_epoch": (int, 180),
-    "train.lr_dropped": (float, 1e-5),
+    "train.lr_dropped": (_parse_float, 1e-5),
     "train.val_pairs": (int, 1),
-    "train.clip_norm": (float, 1.0),
+    "train.clip_norm": (_parse_float, 1.0),
     "train.seed": (int, 0),
-    "eval.data_range": (float, 0.0),  # 0 = derive from each reference image
+    "eval.data_range": (_parse_float, 0.0),  # 0 = derive from each reference image
 }
 
 

@@ -17,6 +17,14 @@ marched, against 50% for an image that fills its grid. Each ray is
 still summed over its full-length sample row, with exact zeros where the
 skipped samples were, so the sinograms are bitwise those of marching
 every sample.
+
+FBP filters each sinogram in place: the zero-padded spectra are
+multiplied by the ramp and inverse transformed in one buffer. A dose pair
+shares its geometry, so its two filtered sinograms go into the real and
+imaginary parts of one complex buffer and are backprojected together: one
+``np.interp`` per view for both doses. ``np.interp`` treats the two parts
+apart and the detector steps are exactly 1.0, so each image is bitwise
+that of its own FBP.
 """
 
 from __future__ import annotations
@@ -118,6 +126,8 @@ class DoseConfig:
     seed: object = 0
 
     def __post_init__(self):
+        if not math.isfinite(self.i0):
+            raise ValueError(f"i0 must be finite, got {self.i0}")
         if not 0.0 < self.dose_fraction <= 1.0:
             raise ValueError(f"dose_fraction must lie in (0,1], got {self.dose_fraction}")
         if self.i0 * self.dose_fraction < 1.0:
@@ -385,10 +395,14 @@ def _ramp_kernel(n_pad, spacing):
     return h
 
 
-def fbp(sino, geom, window="ramlak"):
-    """Filtered back projection: per-view ramp filtering in the frequency
-    domain, linear-interpolation backprojection, scaled by pi/n_views."""
-    values = np.asarray(sino.values, dtype=np.float64)
+def _filter(values, geom, window, out):
+    """Ramp-filter each view of ``values`` (views x detectors) and write
+    the result, in mu per mm, into the float64 array ``out`` of the same
+    shape; ``out`` may be a strided view such as the ``.real`` of a complex
+    buffer. The zero-padded spectra are filtered in place: ``spectra *=
+    ramp`` is the same complex multiply as ``spectra * ramp[None, :]``, and
+    the inverse FFT writes back into ``spectra``."""
+    values = np.asarray(values, dtype=np.float64)
     if values.shape != (geom.n_views, geom.n_detectors):
         raise ValueError(
             f"sinogram shape {values.shape} does not match geometry "
@@ -396,6 +410,8 @@ def fbp(sino, geom, window="ramlak"):
         )
     if window not in ("ramlak", "hann"):
         raise ValueError(f"unknown filter window {window!r}")
+    if not np.isfinite(values).all():
+        raise ValueError("sinogram contains non-finite values")
 
     d = geom.detector_spacing_mm
     n_det = geom.n_detectors
@@ -406,24 +422,62 @@ def fbp(sino, geom, window="ramlak"):
         ramp = ramp * (0.5 * (1.0 + np.cos(np.pi * frac)))
 
     spectra = np.fft.fft(values, n=n_pad, axis=1)
-    filtered = np.fft.ifft(spectra * ramp[None, :], axis=1).real[:, :n_det] * d
+    spectra *= ramp
+    np.fft.ifft(spectra, axis=1, out=spectra)
+    np.multiply(spectra.real[:, :n_det], d, out=out)
 
+
+def _backproject(filtered, geom):
+    """Linear-interpolation backprojection, summed view after view and
+    unscaled, of float64 filtered views or of two packed into the real and
+    imaginary parts of complex128 ones (each part of the result is then
+    bitwise that part's own backprojection)."""
     size = geom.image_size
-    ps = geom.pixel_spacing_mm
-    coords = (np.arange(size) - (size - 1) / 2.0) * ps
-    yy, xx = np.meshgrid(coords, coords, indexing="ij")
+    n_det = geom.n_detectors
+    d = geom.detector_spacing_mm
+    coords = (np.arange(size) - (size - 1) / 2.0) * geom.pixel_spacing_mm
     det_index = np.arange(n_det, dtype=np.float64)
     center = (n_det - 1) / 2.0
 
-    recon = np.zeros((size, size), dtype=np.float64)
+    idx = np.empty((size, size))
+    recon = np.zeros((size, size), dtype=filtered.dtype)
     for vi, theta in enumerate(geom.angles):
-        t = xx * math.cos(theta) + yy * math.sin(theta)
-        idx = t / d + center
+        np.add(coords[:, None] * math.sin(theta), coords * math.cos(theta), out=idx)
+        idx /= d
+        idx += center
         recon += np.interp(idx.ravel(), det_index, filtered[vi], left=0.0, right=0.0).reshape(
             size, size
         )
+    return recon
+
+
+def _image(recon, geom):
+    """Scale a backprojection sum by pi/n_views (in place) into an image."""
     recon *= np.pi / geom.n_views
-    return CtImage(recon.astype(np.float32), MU_PER_MM, ps)
+    return CtImage(recon.astype(np.float32), MU_PER_MM, geom.pixel_spacing_mm)
+
+
+def fbp(sino, geom, window="ramlak"):
+    """Filtered back projection: per-view ramp filtering in the frequency
+    domain, done in place on the zero-padded spectra, then
+    linear-interpolation backprojection scaled by pi/n_views. A sinogram
+    holding NaN or inf is rejected. ``simulate_pair`` backprojects its two
+    doses together (``_fbp_pair``), bitwise as two calls of this."""
+    filtered = np.empty((geom.n_views, geom.n_detectors))
+    _filter(sino.values, geom, window, filtered)
+    return _image(_backproject(filtered, geom), geom)
+
+
+def _fbp_pair(sino_a, sino_b, geom, window):
+    """``fbp`` of two sinograms on one geometry, each image bitwise that of
+    ``fbp``, with one backprojection pass. The filtered views are written
+    into the real and imaginary parts of one complex buffer, never summed
+    as ``a + 1j * b``: ``0 * inf`` would make a NaN in the other part."""
+    packed = np.empty((geom.n_views, geom.n_detectors), dtype=np.complex128)
+    _filter(sino_a.values, geom, window, packed.real)
+    _filter(sino_b.values, geom, window, packed.imag)
+    recon = _backproject(packed, geom)
+    return _image(recon.real, geom), _image(recon.imag, geom)
 
 
 # -- paired-dose dataset -------------------------------------------------
@@ -462,8 +516,8 @@ def simulate_pair(seed, pair_index, size, dose, geom=None, n_ellipses=6,
     noise_seed = [seed, pair_index, 1]
     nd_sino = insert_poisson_noise(sino, replace(dose, dose_fraction=1.0, seed=noise_seed))
     ld_sino = insert_poisson_noise(sino, replace(dose, seed=noise_seed))
-    nd = _clamp_hu(mu_to_hu(fbp(nd_sino, geom, window), mu_water))
-    ld = _clamp_hu(mu_to_hu(fbp(ld_sino, geom, window), mu_water))
+    nd, ld = (_clamp_hu(mu_to_hu(img, mu_water))
+              for img in _fbp_pair(nd_sino, ld_sino, geom, window))
     return TrainingPair(ld=ld, nd=nd), phantom
 
 

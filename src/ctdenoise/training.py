@@ -56,16 +56,17 @@ class TrainConfig:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.clip_norm < 0:
-            raise ValueError(f"clip_norm must be >= 0, got {self.clip_norm}")
+        if not (math.isfinite(self.clip_norm) and self.clip_norm >= 0):
+            raise ValueError(f"clip_norm must be finite and >= 0, got {self.clip_norm}")
         sched = tuple((int(e), float(lr)) for e, lr in self.lr_schedule)
         if not sched or sched[0][0] != 0:
             raise ValueError("lr_schedule must start at epoch 0")
         epochs = [e for e, _ in sched]
         if epochs != sorted(set(epochs)):
             raise ValueError(f"lr_schedule epochs must strictly increase, got {epochs}")
-        if any(lr < 0 for _, lr in sched):
-            raise ValueError("learning rates must be non-negative")
+        if not all(math.isfinite(lr) and lr >= 0 for _, lr in sched):
+            raise ValueError(f"lr_schedule learning rates must be finite and non-negative, "
+                             f"got {[lr for _, lr in sched]}")
         self.lr_schedule = sched
 
 

@@ -90,6 +90,13 @@ class TestSimulate:
         assert "n_views" in capsys.readouterr().err
         assert not (tmp_path / "d").exists()
 
+    def test_non_finite_i0(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("data.n_pairs = 1\ndata.size = 32\ndata.i0 = nan\n")
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "d")]) == 2
+        assert f"{cfg}:3: bad value for data.i0" in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
+
     def test_thread_env_validation(self, workspace, monkeypatch, capsys):
         cfg = workspace / "run.cfg"
         for bad in ("abc", "0"):
@@ -190,6 +197,17 @@ class TestTrain:
                      "--data", str(workspace / "data"), "--out", str(tmp_path / "m")])
         assert code == 2
         assert "did you mean" in capsys.readouterr().err
+
+    def test_non_finite_clip_norm(self, workspace, tmp_path, capsys):
+        # a nan clip_norm used to switch gradient clipping off silently
+        cfg = tmp_path / "nan.cfg"
+        cfg.write_text(SMOKE_CFG + "train.clip_norm = nan\n")
+        code = main(["train", "--config", str(cfg),
+                     "--data", str(workspace / "data"), "--out", str(tmp_path / "m")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{cfg}:{len(SMOKE_CFG.splitlines()) + 1}: bad value for train.clip_norm" in err
+        assert not (tmp_path / "m").exists()
 
 
 class TestDenoise:

@@ -48,6 +48,13 @@ class TestParsing:
         with pytest.raises(ConfigError, match="boolean"):
             parse_config_text("model.use_positional = maybe")
 
+    @pytest.mark.parametrize("key", sorted(k for k, (_, default) in SCHEMA.items()
+                                           if isinstance(default, float)))
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf", "1e999"])
+    def test_non_finite_float_rejected(self, key, text):
+        with pytest.raises(ConfigError, match=rf"run\.cfg:2: bad value for {key}: .*finite"):
+            parse_config_text(f"# header\n{key} = {text}\n", source="run.cfg")
+
 
 class TestLoadRunConfig:
     def test_defaults_complete(self):

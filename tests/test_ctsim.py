@@ -468,6 +468,59 @@ class TestPoissonNoise:
             DoseConfig(dose_fraction=1.5)
         with pytest.raises(ValueError, match="photon"):
             DoseConfig(i0=2.0, dose_fraction=0.25)
+        for i0 in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="i0 must be finite"):
+                DoseConfig(i0=i0)
+
+
+def reference_fbp(sino, geom, window="ramlak"):
+    """FBP as one real ``np.interp`` pass per view over coordinates from a
+    full meshgrid, filtered out of place: the reconstruction before the
+    packed pair path. ``fbp`` and ``_fbp_pair`` must match it byte for
+    byte."""
+    values = np.asarray(sino.values, dtype=np.float64)
+    d = geom.detector_spacing_mm
+    n_det = geom.n_detectors
+    n_pad = 1 << int(math.ceil(math.log2(max(64, 2 * n_det))))
+    ramp = np.fft.fft(ctsim._ramp_kernel(n_pad, d)).real
+    if window == "hann":
+        frac = np.abs(np.fft.fftfreq(n_pad)) * 2.0
+        ramp = ramp * (0.5 * (1.0 + np.cos(np.pi * frac)))
+    spectra = np.fft.fft(values, n=n_pad, axis=1)
+    filtered = np.fft.ifft(spectra * ramp[None, :], axis=1).real[:, :n_det] * d
+
+    size = geom.image_size
+    coords = (np.arange(size) - (size - 1) / 2.0) * geom.pixel_spacing_mm
+    yy, xx = np.meshgrid(coords, coords, indexing="ij")
+    det_index = np.arange(n_det, dtype=np.float64)
+    center = (n_det - 1) / 2.0
+    recon = np.zeros((size, size), dtype=np.float64)
+    for vi, theta in enumerate(geom.angles):
+        t = xx * math.cos(theta) + yy * math.sin(theta)
+        idx = t / d + center
+        recon += np.interp(idx.ravel(), det_index, filtered[vi], left=0.0, right=0.0).reshape(
+            size, size
+        )
+    recon *= np.pi / geom.n_views
+    return CtImage(recon.astype(np.float32), MU_PER_MM, geom.pixel_spacing_mm)
+
+
+# odd and even sizes, detector and pixel spacings off 1.0, and a detector
+# row shorter than the image diagonal, so that pixels fall past both ends
+# of it and np.interp's left/right = 0 path runs
+FBP_GEOMETRIES = [
+    default_geometry(32),
+    default_geometry(33),
+    default_geometry(64),
+    default_geometry(64, pixel_spacing_mm=0.7),
+    ScanGeometry(n_views=90, n_detectors=61, detector_spacing_mm=1.3, image_size=64),
+]
+
+
+def assert_same_image(got, want):
+    assert got.unit == want.unit and got.pixel_spacing_mm == want.pixel_spacing_mm
+    assert got.grid.dtype == want.grid.dtype
+    assert got.grid.tobytes() == want.grid.tobytes()
 
 
 class TestFbp:
@@ -502,6 +555,35 @@ class TestFbp:
         sino = Sinogram(np.zeros((geom.n_views, geom.n_detectors)), geom)
         with pytest.raises(ValueError, match="window"):
             fbp(sino, geom, window="tukey")
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_sinogram_rejected(self, bad):
+        geom = default_geometry(32)
+        values = np.ones((geom.n_views, geom.n_detectors))
+        values[7, 11] = bad
+        with pytest.raises(ValueError, match="sinogram contains non-finite values"):
+            fbp(Sinogram(values, geom), geom)
+        ok = Sinogram(np.ones_like(values), geom)
+        with pytest.raises(ValueError, match="sinogram contains non-finite values"):
+            ctsim._fbp_pair(ok, Sinogram(values, geom), geom, "ramlak")
+
+    @pytest.mark.parametrize("window", ["ramlak", "hann"])
+    @pytest.mark.parametrize("geom", FBP_GEOMETRIES,
+                             ids=lambda g: f"{g.image_size}px{g.pixel_spacing_mm}-"
+                                           f"{g.n_detectors}det{g.detector_spacing_mm}")
+    def test_bitwise_equal_to_reference(self, geom, window):
+        rng = np.random.default_rng(geom.image_size)
+        a, b = (Sinogram(rng.uniform(0.0, 3.0, (geom.n_views, geom.n_detectors)), geom)
+                for _ in range(2))
+        zero = Sinogram(np.zeros((geom.n_views, geom.n_detectors)), geom)
+        want_a, want_b = reference_fbp(a, geom, window), reference_fbp(b, geom, window)
+        want_zero = reference_fbp(zero, geom, window)
+        assert_same_image(fbp(a, geom, window), want_a)
+        for pair, want in (((a, b), (want_a, want_b)), ((zero, a), (want_zero, want_a)),
+                           ((b, zero), (want_b, want_zero))):
+            got = ctsim._fbp_pair(*pair, geom, window)
+            assert_same_image(got[0], want[0])
+            assert_same_image(got[1], want[1])
 
 
 class TestSimulatePair:
@@ -582,6 +664,30 @@ class TestDataset:
         for a, b in zip(windowed, full_rows):
             assert a.ld.grid.tobytes() == b.ld.grid.tobytes()
             assert a.nd.grid.tobytes() == b.nd.grid.tobytes()
+
+    def test_bits_match_reference_fbp(self, monkeypatch):
+        dose = DoseConfig(i0=5e4)
+        packed = make_dataset(2, 64, dose, seed=3)
+        monkeypatch.setattr(
+            ctsim, "_fbp_pair",
+            lambda a, b, geom, window: (reference_fbp(a, geom, window),
+                                        reference_fbp(b, geom, window)))
+        reference = make_dataset(2, 64, dose, seed=3)
+        for a, b in zip(packed, reference):
+            assert a.ld.grid.tobytes() == b.ld.grid.tobytes()
+            assert a.nd.grid.tobytes() == b.nd.grid.tobytes()
+
+    def test_pair_peak_memory(self):
+        # one complex buffer for both doses, filtered in place; filtering
+        # out of place into two real buffers peaked at about 10 MiB
+        make_dataset(1, 128, DoseConfig(), seed=0)
+        tracemalloc.start()
+        try:
+            make_dataset(1, 128, DoseConfig(), seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20, peak
 
     def test_save_load_round_trip(self, tmp_path):
         pairs = make_dataset(3, 64, DoseConfig(i0=5e4), seed=13)

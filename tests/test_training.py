@@ -97,6 +97,17 @@ class TestLrSchedule:
         with pytest.raises(ValueError, match="clip_norm"):
             TrainConfig(clip_norm=-1.0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_settings_rejected(self, value):
+        # nan < 0 is false, so a plain range check lets nan through and a
+        # nan clip_norm would silently switch clipping off
+        with pytest.raises(ValueError, match="clip_norm must be finite"):
+            TrainConfig(clip_norm=value)
+        with pytest.raises(ValueError, match="lr_schedule learning rates must be finite"):
+            TrainConfig(lr_schedule=((0, value),))
+        with pytest.raises(ValueError, match="lr_schedule learning rates must be finite"):
+            TrainConfig(lr_schedule=((0, 1e-4), (10, value)))
+
 
 class TestAttenuationBridge:
     def test_anchors(self):
