@@ -3,7 +3,6 @@ numpy: tensor autodiff core, CT simulation, band splitting, model, training
 loop, metrics, and a CLI."""
 
 from .tensor import (
-    Parameter,
     ShapeError,
     Tensor,
     add,
@@ -51,13 +50,10 @@ from .ctsim import (
 from .model import (
     ModelConfig,
     Module,
-    TokenSeq,
     TransCT,
     VARIANTS,
     build_model,
     count_parameters,
-    detokenize,
-    tokenize,
 )
 from .training import (
     CheckpointError,

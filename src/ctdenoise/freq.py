@@ -58,7 +58,6 @@ class FreqPair:
 
     low: Tensor
     high: Tensor
-    sigma: float
 
 
 def decompose(image, sigma=DEFAULT_SIGMA):
@@ -68,7 +67,7 @@ def decompose(image, sigma=DEFAULT_SIGMA):
         raise ShapeError(f"decompose expects a 2-d image, got shape {data.shape}")
     low = gaussian_blur(data, sigma)
     high = data - low
-    return FreqPair(low=Tensor(low), high=Tensor(high), sigma=float(sigma))
+    return FreqPair(low=Tensor(low), high=Tensor(high))
 
 
 def recompose(pair):

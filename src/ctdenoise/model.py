@@ -20,7 +20,6 @@ import numpy as np
 
 from .optim import xavier_init
 from .tensor import (
-    Parameter,
     ShapeError,
     Tensor,
     add,
@@ -63,6 +62,8 @@ class ModelConfig:
                     f"width {self.width} does not scale the {base}-channel tier "
                     f"to a whole number"
                 )
+        if self.n_heads < 1:
+            raise ValueError(f"n_heads must be >= 1, got {self.n_heads}")
         if self.channels(256) % self.n_heads != 0:
             raise ValueError(
                 f"{self.channels(256)} token channels do not split into "
@@ -82,12 +83,15 @@ class ModelConfig:
 
 
 class Module:
-    """Composite of parameters and sub-modules, walkable by name."""
+    """Composite of parameters and sub-modules, walkable by name.
+
+    Every ``Tensor`` attribute is a trainable parameter; its attribute
+    path names it in checkpoints."""
 
     def named_parameters(self, prefix=""):
         for name, val in vars(self).items():
             path = f"{prefix}.{name}" if prefix else name
-            if isinstance(val, Parameter):
+            if isinstance(val, Tensor):
                 yield path, val
             elif isinstance(val, Module):
                 yield from val.named_parameters(path)
@@ -114,11 +118,11 @@ def count_parameters(module):
 class Conv2d(Module):
     def __init__(self, cin, cout, rng, k=3, stride=1):
         self.stride = stride
-        self.weight = Parameter(xavier_init((cout, cin, k, k), rng), "weight")
-        self.bias = Parameter(np.zeros(cout, dtype=np.float32), "bias")
+        self.weight = xavier_init((cout, cin, k, k), rng)
+        self.bias = Tensor(np.zeros(cout, dtype=np.float32), requires_grad=True)
 
     def __call__(self, x):
-        return conv2d(x, self.weight.value, self.bias.value, stride=self.stride)
+        return conv2d(x, self.weight, self.bias, stride=self.stride)
 
 
 class ConvAct(Module):
@@ -134,11 +138,11 @@ class ConvAct(Module):
 
 class Linear(Module):
     def __init__(self, cin, cout, rng):
-        self.weight = Parameter(xavier_init((cin, cout), rng), "weight")
-        self.bias = Parameter(np.zeros(cout, dtype=np.float32), "bias")
+        self.weight = xavier_init((cin, cout), rng)
+        self.bias = Tensor(np.zeros(cout, dtype=np.float32), requires_grad=True)
 
     def __call__(self, x):
-        return linear(x, self.weight.value, self.bias.value)
+        return linear(x, self.weight, self.bias)
 
 
 class ResBlock(Module):
@@ -220,26 +224,18 @@ class DecoderLayer(Module):
 # -- token plumbing -------------------------------------------------------
 
 
-@dataclass
-class TokenSeq:
-    """(B, N, C) token tensor remembering its source feature-map extents."""
-
-    tokens: Tensor
-    h: int
-    w: int
-
-
 def tokenize(x):
+    """(B, C, H, W) feature map -> (B, H*W, C) tokens in row-major order."""
     B, C, H, W = x.shape
-    t = reshape(transpose(x, (0, 2, 3, 1)), (B, H * W, C))
-    return TokenSeq(tokens=t, h=H, w=W)
+    return reshape(transpose(x, (0, 2, 3, 1)), (B, H * W, C))
 
 
-def detokenize(seq):
-    B, N, C = seq.tokens.shape
-    if N != seq.h * seq.w:
-        raise ShapeError(f"{N} tokens do not tile a {seq.h}x{seq.w} map")
-    return transpose(reshape(seq.tokens, (B, seq.h, seq.w, C)), (0, 3, 1, 2))
+def detokenize(tokens, h, w):
+    """(B, h*w, C) tokens -> (B, C, h, w) feature map."""
+    B, N, C = tokens.shape
+    if N != h * w:
+        raise ShapeError(f"{N} tokens do not tile a {h}x{w} map")
+    return transpose(reshape(tokens, (B, h, w, C)), (0, 3, 1, 2))
 
 
 # -- the network ----------------------------------------------------------
@@ -301,16 +297,13 @@ class TransCT(Module):
         self.res1 = ResBlock(c256, c256, rng, slope)
         self.res2 = ResBlock(c64, 64, rng, slope)
 
-        if config.use_positional:
+        # positional embeddings exist only where there are token stages
+        if config.use_positional and variant != "no_transformer":
             s = config.pos_image_size
             fold = 16 if variant == "no_dual_path" else 32
-            self.pos_enc = Parameter(
-                xavier_init(((s // fold) ** 2, c256), rng), "pos_enc"
-            )
+            self.pos_enc = xavier_init(((s // fold) ** 2, c256), rng)
             if variant == "full":
-                self.pos_dec = Parameter(
-                    xavier_init(((s // 16) ** 2, c256), rng), "pos_dec"
-                )
+                self.pos_dec = xavier_init(((s // 16) ** 2, c256), rng)
 
     # -- forward paths ----------------------------------------------------
 
@@ -381,23 +374,21 @@ class TransCT(Module):
         if trace is not None:
             trace["x_lt"] = tx.shape
 
-        s_l = tokenize(tx)
-        s_h = tokenize(hf)
+        lt = tokenize(tx)
+        ht = tokenize(hf)
         if trace is not None:
-            trace["s_l"] = s_l.tokens.shape
-            trace["s_h"] = s_h.tokens.shape
+            trace["s_l"] = lt.shape
+            trace["s_h"] = ht.shape
 
-        lt = s_l.tokens
-        ht = s_h.tokens
         if self.config.use_positional:
-            lt = add(lt, self.pos_enc.value)
-            ht = add(ht, self.pos_dec.value)
+            lt = add(lt, self.pos_enc)
+            ht = add(ht, self.pos_dec)
         for enc in self.encoders:
             lt = enc(lt)
         memory = lt
         for dec in self.decoders:
             ht = dec(ht, memory, trace)
-        y = detokenize(TokenSeq(ht, s_h.h, s_h.w))
+        y = detokenize(ht, hf.shape[2], hf.shape[3])
         if trace is not None:
             trace["y"] = y.shape
         return self._reconstruct(y, c1, c2, trace)
@@ -416,15 +407,14 @@ class TransCT(Module):
     def _forward_no_dual_path(self, x_low, x_high, trace):
         x = add(x_low, x_high)
         _, c1, c2 = self._content_column(x, trace)
-        s = tokenize(c2)
+        tokens = tokenize(c2)
         if trace is not None:
-            trace["s_l"] = s.tokens.shape
-        tokens = s.tokens
+            trace["s_l"] = tokens.shape
         if self.config.use_positional:
-            tokens = add(tokens, self.pos_enc.value)
+            tokens = add(tokens, self.pos_enc)
         for enc in self.encoders:
             tokens = enc(tokens)
-        y = detokenize(TokenSeq(tokens, s.h, s.w))
+        y = detokenize(tokens, c2.shape[2], c2.shape[3])
         if trace is not None:
             trace["y"] = y.shape
         return self._reconstruct(y, c1, c2, trace)

@@ -15,7 +15,8 @@ def xavier_init(shape, seed, dtype=np.float32):
     Fans come from the first two extents times the receptive-field size
     (product of any trailing extents), so conv kernels (Cout, Cin, k, k)
     and linear weights (c_in, c_out) are both covered. ``seed`` may be an
-    int or an existing ``numpy.random.Generator``.
+    int or an existing ``numpy.random.Generator``. Returns a trainable
+    leaf tensor.
     """
     shape = tuple(int(s) for s in shape)
     if len(shape) < 2:
@@ -24,7 +25,7 @@ def xavier_init(shape, seed, dtype=np.float32):
     fan_sum = (shape[0] + shape[1]) * receptive
     bound = float(np.sqrt(6.0 / fan_sum))
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    return Tensor(rng.uniform(-bound, bound, size=shape).astype(dtype))
+    return Tensor(rng.uniform(-bound, bound, size=shape).astype(dtype), requires_grad=True)
 
 
 @dataclass
@@ -54,17 +55,17 @@ def adam_step(params, grads, state, lr, beta1=0.9, beta2=0.999, eps=1e-8):
     state.t += 1
     c1 = 1.0 - beta1 ** state.t
     c2 = 1.0 - beta2 ** state.t
-    for p, g, m, v in zip(params, grads, state.m, state.v):
+    for i, (p, g, m, v) in enumerate(zip(params, grads, state.m, state.v)):
         if g is None:
-            raise ValueError(f"adam_step: missing gradient for {p.name or 'parameter'}")
+            raise ValueError(f"adam_step: missing gradient for parameter {i}")
         if g.shape != p.data.shape:
             raise ShapeError(
                 f"adam_step: grad shape {g.shape} does not match parameter "
-                f"{p.name or ''} shape {p.data.shape}"
+                f"{i} shape {p.data.shape}"
             )
         m *= beta1
         m += (1.0 - beta1) * g
         v *= beta2
         v += (1.0 - beta2) * (g * g)
-        p.value.data -= (lr / c1) * m / (np.sqrt(v / c2) + eps)
+        p.data -= (lr / c1) * m / (np.sqrt(v / c2) + eps)
     return params, state

@@ -41,6 +41,7 @@ def _as_array(data, dtype):
 class Tensor:
     """N-d row-major array, optionally tracked for gradients.
 
+    A trainable parameter is a leaf made with ``requires_grad=True``.
     Tensors are immutable once created; only the optimizer writes into
     parameter data in place. ``backward`` populates ``grad`` on leaves only
     (tensors no op produced, such as parameters and inputs), where it
@@ -144,39 +145,10 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    __radd__ = __add__
-
     def __mul__(self, other):
         return mul(self, other)
 
     __rmul__ = __mul__
-
-    def __neg__(self):
-        return neg(self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return add(neg(self), other)
-
-    def __truediv__(self, other):
-        if isinstance(other, Tensor):
-            raise TypeError("tensor/tensor division is not supported; multiply by a reciprocal")
-        return mul(self, 1.0 / other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return reshape(self, shape)
-
-    def transpose(self, *axes):
-        if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
-            axes = tuple(axes[0])
-        return transpose(self, axes)
 
     def sum(self, axis=None, keepdims=False):
         return tsum(self, axis=axis, keepdims=keepdims)
@@ -187,35 +159,6 @@ class Tensor:
     def __repr__(self):
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={tuple(self.shape)}, dtype={self.data.dtype.name}{flag})"
-
-
-class Parameter:
-    """A named trainable tensor; names place it in checkpoints."""
-
-    __slots__ = ("value", "name")
-
-    def __init__(self, value, name=""):
-        self.value = value if isinstance(value, Tensor) else Tensor(value)
-        self.value.requires_grad = True
-        self.name = name
-
-    @property
-    def data(self):
-        return self.value.data
-
-    @property
-    def grad(self):
-        return self.value.grad
-
-    @property
-    def shape(self):
-        return self.value.shape
-
-    def zero_grad(self):
-        self.value.zero_grad()
-
-    def __repr__(self):
-        return f"Parameter({self.name or '<unnamed>'}, shape={tuple(self.shape)})"
 
 
 # -- graph plumbing ----------------------------------------------------

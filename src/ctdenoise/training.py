@@ -177,6 +177,7 @@ def _read_checkpoint(path):
         header = json.loads(raw[8 : 8 + hlen].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"{path}: unreadable checkpoint header: {exc}") from None
+    _check_header(path, header)
     offset = 8 + hlen
     arrays = {}
     try:
@@ -188,11 +189,23 @@ def _read_checkpoint(path):
     return header, arrays
 
 
+def _check_header(path, header):
+    """Raise CheckpointError unless ``header`` has the fields and types
+    that ``save_checkpoint`` writes."""
+    names = header.get("names") if isinstance(header, dict) else None
+    if not (isinstance(names, list) and all(isinstance(n, str) for n in names)
+            and isinstance(header.get("config"), dict) and type(header.get("epoch")) is int):
+        raise CheckpointError(
+            f"{path}: malformed checkpoint header, expected an object with "
+            f"'names' (list of strings), 'config' (object) and 'epoch' (integer)"
+        )
+
+
 def load_checkpoint_into(model, path):
     """Restore parameters in place; the stored config must match the
     model's. Returns the stored epoch."""
     header, arrays = _read_checkpoint(path)
-    stored = header.get("config", {})
+    stored = header["config"]
     current = asdict(model.config)
     # the init seed does not shape the architecture, so a checkpoint may
     # be restored into a model that was seeded differently
@@ -211,8 +224,8 @@ def load_checkpoint_into(model, path):
             raise CheckpointError(
                 f"{path}: parameter {name} has shape {arr.shape}, expected {tuple(p.shape)}"
             )
-        p.value.data = arr.astype(np.float32)
-    return int(header.get("epoch", 0))
+        p.data = arr.astype(np.float32)
+    return header["epoch"]
 
 
 def load_checkpoint(path):
@@ -220,7 +233,7 @@ def load_checkpoint(path):
     header, _ = _read_checkpoint(path)
     try:
         config = ModelConfig(**header["config"])
-    except (KeyError, TypeError) as exc:
+    except (TypeError, ValueError, ArithmeticError) as exc:
         raise CheckpointError(f"{path}: bad config block: {exc}") from None
     model = build_model(config)
     epoch = load_checkpoint_into(model, path)

@@ -1,10 +1,33 @@
 """Shared fixtures and the finite-difference gradient harness."""
 
+import json
+
 import numpy as np
 import pytest
 
 import ctdenoise as cd
 from ctdenoise.tensor import Tensor
+from ctdenoise.training import CHECKPOINT_MAGIC
+
+# .tck headers that are valid JSON but not what save_checkpoint writes
+MALFORMED_HEADERS = {
+    "empty": {},
+    "array": [],
+    "names_int": {"names": 5},
+    "names_not_str": {"names": [1], "config": {}, "epoch": 0},
+    "config_int": {"names": [], "config": 5, "epoch": 0},
+    "width_fraction": {"names": [], "config": {"width": 0.3}, "epoch": 0},
+    "variant_unknown": {"names": [], "config": {"variant": "nope"}, "epoch": 0},
+    "heads_zero": {"names": [], "config": {"n_heads": 0}, "epoch": 0},
+    "width_overflow": {"names": [], "config": {"width": 1e308}, "epoch": 0},
+    "config_unknown_key": {"names": [], "config": {"depth": 3}, "epoch": 0},
+}
+
+
+def write_header_only_checkpoint(path, header):
+    """A .tck file holding ``header`` and no tensors."""
+    blob = json.dumps(header).encode("utf-8")
+    path.write_bytes(CHECKPOINT_MAGIC + len(blob).to_bytes(4, "little") + blob)
 
 
 def rel_err(a, b):

@@ -135,7 +135,7 @@ def _end_to_end_audit():
     sampling two coordinates of every parameter tensor."""
     model = build_model(ModelConfig(width=0.125, n_heads=2, seed=4))
     for p in model.parameters():
-        p.value.data = p.data.astype(np.float64)
+        p.data = p.data.astype(np.float64)
     rng = np.random.default_rng(5)
     low = Tensor(rng.normal(scale=0.5, size=(1, 1, 64, 64)))
     high = Tensor(rng.normal(scale=0.5, size=(1, 1, 64, 64)))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ctdenoise.optim import AdamState, adam_step, xavier_init
-from ctdenoise.tensor import Parameter, ShapeError, Tensor
+from ctdenoise.tensor import ShapeError, Tensor
 
 from conftest import rel_err
 
@@ -29,7 +29,7 @@ class TestAdamStep:
         rng = np.random.default_rng(0)
         p0 = rng.normal(size=(4, 3)).astype(np.float64)
         grads = [rng.normal(size=(4, 3)) for _ in range(50)]
-        param = Parameter(Tensor(p0.copy()))
+        param = Tensor(p0.copy(), requires_grad=True)
         state = AdamState.for_params([param])
         for g in grads:
             adam_step([param], [g], state, lr=1e-2)
@@ -38,7 +38,7 @@ class TestAdamStep:
 
     def test_first_step_magnitude(self):
         # With zero moments, step one moves each weight by ~lr * sign(g).
-        p = Parameter(Tensor(np.zeros(5)))
+        p = Tensor(np.zeros(5), requires_grad=True)
         g = np.array([1.0, -2.0, 0.5, -0.1, 3.0])
         state = AdamState.for_params([p])
         adam_step([p], [g], state, lr=1e-3)
@@ -48,7 +48,7 @@ class TestAdamStep:
         rng = np.random.default_rng(1)
         A = rng.normal(size=(20, 3))
         b = rng.normal(size=20)
-        w = Parameter(Tensor(np.zeros(3)))
+        w = Tensor(np.zeros(3), requires_grad=True)
         state = AdamState.for_params([w])
         for _ in range(800):
             grad = 2 * A.T @ (A @ w.data - b) / len(b)
@@ -57,16 +57,16 @@ class TestAdamStep:
         assert np.allclose(w.data, w_star, atol=1e-3)
 
     def test_updates_in_place_and_keeps_dtype(self):
-        p = Parameter(Tensor(np.ones((2, 2), dtype=np.float32)))
-        buf = p.value.data
+        p = Tensor(np.ones((2, 2), dtype=np.float32), requires_grad=True)
+        buf = p.data
         state = AdamState.for_params([p])
         adam_step([p], [np.ones((2, 2), dtype=np.float32)], state, lr=1e-2)
-        assert p.value.data is buf
+        assert p.data is buf
         assert p.data.dtype == np.float32
         assert state.t == 1
 
     def test_shape_and_count_validation(self):
-        p = Parameter(Tensor(np.ones(3)))
+        p = Tensor(np.ones(3), requires_grad=True)
         state = AdamState.for_params([p])
         with pytest.raises(ShapeError):
             adam_step([p], [np.ones(4)], state, lr=1e-3)

@@ -9,6 +9,7 @@ import shutil
 import numpy as np
 import pytest
 
+from conftest import MALFORMED_HEADERS, write_header_only_checkpoint
 from ctdenoise.cli import THREADS_ENV, main
 from ctdenoise.config import parse_config_text
 from ctdenoise.ctsim import load_dataset
@@ -244,6 +245,15 @@ class TestDenoise:
                      "--input", str(workspace / "crop.tct"), "--out", str(tmp_path / "o.tct")])
         assert code == 1
         assert "magic" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("header", MALFORMED_HEADERS.values(), ids=MALFORMED_HEADERS)
+    def test_malformed_checkpoint_header(self, workspace, tmp_path, capsys, header):
+        bad = tmp_path / "bad.tck"
+        write_header_only_checkpoint(bad, header)
+        code = main(["denoise", "--checkpoint", str(bad),
+                     "--input", str(workspace / "crop.tct"), "--out", str(tmp_path / "o.tct")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestEval:

@@ -131,10 +131,6 @@ class TestDecompose:
         with pytest.raises(ShapeError):
             decompose(np.ones((2, 16, 16)))
 
-    def test_sigma_recorded(self):
-        pair = decompose(np.ones((24, 24)), sigma=2.0)
-        assert pair.sigma == 2.0
-
 
 class TestRecompose:
     def test_returns_original(self):
@@ -144,6 +140,6 @@ class TestRecompose:
         assert np.abs(recompose(pair).data - img).max() <= 1e-6
 
     def test_shape_mismatch(self):
-        pair = FreqPair(low=Tensor(np.ones((4, 4))), high=Tensor(np.ones((4, 5))), sigma=1.5)
+        pair = FreqPair(low=Tensor(np.ones((4, 4))), high=Tensor(np.ones((4, 5))))
         with pytest.raises(ShapeError):
             recompose(pair)

@@ -17,7 +17,6 @@ from ctdenoise.model import (
     ModelConfig,
     MultiHeadAttention,
     ResBlock,
-    TokenSeq,
     TransCT,
     build_model,
     count_parameters,
@@ -79,6 +78,8 @@ class TestModelConfig:
             ModelConfig(variant="resnet")
 
     def test_scalar_domains(self):
+        with pytest.raises(ValueError, match="n_heads"):
+            ModelConfig(n_heads=0)
         with pytest.raises(ValueError, match="ffn_mult"):
             ModelConfig(ffn_mult=0)
         with pytest.raises(ValueError, match="lrelu_slope"):
@@ -169,23 +170,21 @@ class TestTokenize:
     def test_round_trip(self):
         rng = np.random.default_rng(0)
         x = rng.normal(size=(2, 5, 3, 4)).astype(np.float32)
-        seq = tokenize(Tensor(x))
-        assert seq.tokens.shape == (2, 12, 5)
-        assert (seq.h, seq.w) == (3, 4)
-        assert np.array_equal(detokenize(seq).numpy(), x)
+        tokens = tokenize(Tensor(x))
+        assert tokens.shape == (2, 12, 5)
+        assert np.array_equal(detokenize(tokens, 3, 4).numpy(), x)
 
     def test_row_major_token_order(self):
         # token n holds the channel vector at (n // W, n % W)
         rng = np.random.default_rng(1)
         x = rng.normal(size=(1, 3, 2, 4)).astype(np.float32)
-        toks = tokenize(Tensor(x)).tokens.numpy()
+        toks = tokenize(Tensor(x)).numpy()
         for n in range(8):
             assert np.array_equal(toks[0, n], x[0, :, n // 4, n % 4])
 
     def test_extent_mismatch(self):
-        seq = TokenSeq(Tensor(np.zeros((1, 12, 3))), h=5, w=5)
         with pytest.raises(ShapeError, match="tile"):
-            detokenize(seq)
+            detokenize(Tensor(np.zeros((1, 12, 3))), 5, 5)
 
 
 class TestForwardShapes:
@@ -281,7 +280,7 @@ class TestParameterBook:
         model = build_model(ModelConfig(**TINY))
         names = [n for n, _ in model.named_parameters()]
         assert len(names) == len(set(names))
-        assert all(p.value.requires_grad for _, p in model.named_parameters())
+        assert all(p.requires_grad for _, p in model.named_parameters())
 
     def test_positional_embeddings_registered(self):
         model = build_model(ModelConfig(use_positional=True, pos_image_size=32, **TINY))

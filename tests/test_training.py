@@ -1,6 +1,7 @@
 """Optimization loop, checkpointing, and the HU <-> relative-attenuation
 bridge used at the network boundary."""
 
+import hashlib
 import json
 import math
 import tracemalloc
@@ -14,6 +15,7 @@ from ctdenoise.freq import decompose
 from ctdenoise.model import ModelConfig, build_model
 from ctdenoise.optim import AdamState, adam_step
 from ctdenoise.tensor import ShapeError, Tensor, add
+from conftest import MALFORMED_HEADERS, write_header_only_checkpoint
 from ctdenoise.training import (
     CHECKPOINT_MAGIC,
     CheckpointError,
@@ -164,7 +166,7 @@ class TestDenoiseImage:
         assert recorded.requires_grad and recorded._backward is not None
         expected = np.maximum(_rel_to_hu(recorded.data[0, 0, :70, :64]), -1000.0).astype(np.float32)
         assert np.array_equal(denoise_image(model, img).grid, expected)
-        assert all(p.value.requires_grad for p in model.parameters())
+        assert all(p.requires_grad for p in model.parameters())
 
     def test_graph_free_output_at_uneven_attention_blocks(self):
         # 384 x 384 gives 576 high-band tokens; without a graph the decoder
@@ -268,6 +270,36 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="header"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("header", MALFORMED_HEADERS.values(), ids=MALFORMED_HEADERS)
+    def test_malformed_header(self, tmp_path, header):
+        path = tmp_path / "model.tck"
+        write_header_only_checkpoint(path, header)
+        with pytest.raises(CheckpointError, match="malformed checkpoint header|bad config block"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("epoch", ["x", "3", 1.5, None, True])
+    def test_non_integer_epoch(self, tmp_path, epoch):
+        path = tmp_path / "model.tck"
+        save_checkpoint(build_model(ModelConfig(**TINY)), path, epoch=0)
+        raw = path.read_bytes()
+        hlen = int.from_bytes(raw[4:8], "little")
+        header = json.loads(raw[8 : 8 + hlen])
+        header["epoch"] = epoch
+        blob = json.dumps(header).encode()
+        path.write_bytes(CHECKPOINT_MAGIC + len(blob).to_bytes(4, "little") + blob + raw[8 + hlen :])
+        with pytest.raises(CheckpointError, match="malformed checkpoint header"):
+            load_checkpoint(path)
+
+    def test_layout_frozen(self, tmp_path):
+        # names, order and framing of the on-disk format, byte for byte
+        path = tmp_path / "model.tck"
+        save_checkpoint(build_model(ModelConfig(width=0.25, seed=0)), path, epoch=0)
+        raw = path.read_bytes()
+        assert len(raw) == 3_747_074
+        assert hashlib.sha256(raw).hexdigest() == (
+            "a6a72ac9c35a7ef4db6ec07d37de6a05c5d0d0333f0a1694b73bcbaf05c97849"
+        )
+
     def test_missing_parameter(self, tmp_path):
         # surgically drop the last name from the header: the payload for it
         # is still there but never claimed
@@ -319,6 +351,13 @@ class TestTrainLoop:
         adam_step(params, [g * scale for g in grads], AdamState.for_params(params), 1e-3)
         for got, want in zip(model.parameters(), params):
             assert np.array_equal(got.data, want.data)
+
+    def test_no_transformer_ignores_positional(self, tmp_path):
+        # no token stage, so no embedding that would never receive a gradient
+        model = build_model(ModelConfig(variant="no_transformer", use_positional=True, **TINY))
+        assert "pos_enc" not in {name for name, _ in model.named_parameters()}
+        cfg = TrainConfig(epochs=1, batch_size=2, lr_schedule=((0, 1e-3),))
+        assert train(model, tiny_pairs(2), [], cfg, tmp_path).epochs_run == 1
 
     def test_deterministic_runs(self, tmp_path):
         histories = []
