@@ -21,10 +21,9 @@ from .ctsim import HU, CtImage, load_dataset, make_dataset, save_dataset
 from .freq import decompose
 from .metrics import evaluate_pairs
 from .model import VARIANTS, build_model, count_parameters
-from .tctio import TensorFormatError, read_tensor, write_tensor
+from .tctio import read_tensor, write_tensor
 from .tensor import ShapeError
 from .training import (
-    CheckpointError,
     TrainingDiverged,
     denoise_image,
     load_checkpoint,
@@ -283,13 +282,7 @@ def main(argv=None):
     except TrainingDiverged as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (
-        CheckpointError,
-        TensorFormatError,
-        ShapeError,
-        ValueError,
-        OSError,
-    ) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -7,16 +7,17 @@ Poisson photon noise inserted in the projection domain, and filtered back
 projection. Dose pairs reuse one clean sinogram and one noise stream so
 that equal dose fractions reproduce identical images.
 
-The projector marches only each ray's window: the run of samples that can
-touch the image and lie within sqrt(2) pixels of the image's support, the
-smallest disk about the grid centre that holds every nonzero pixel. A
-bilinear sample reads only corners within sqrt(2) pixels of itself, so a
-skipped sample reads exact zeros. The simulated phantoms sit on air,
-which is exactly mu = 0, so about 28% of a 128x128 phantom's samples are
-marched, against 50% for an image that fills its grid. Each ray is
-still summed over its full-length sample row, with exact zeros where the
-skipped samples were, so the sinograms are bitwise those of marching
-every sample.
+The projector marches only the samples within sqrt(2) pixels of the
+image's support, the smallest disk about the grid centre that holds every
+nonzero pixel; a bilinear sample reads only corners within sqrt(2) pixels
+of itself, so a skipped sample reads exact zeros. The disk does not turn
+with the view, so one run of samples per ray serves every view. The
+simulated phantoms sit well inside their grid, on air, which is exactly
+mu = 0, so about 29% of a 128x128 phantom's samples are marched. An image
+whose support reaches the grid corners marches 78%: its disk also holds
+samples that read only the zero border. Each ray is still summed over
+its full-length sample row, with exact zeros where the skipped samples
+were, so the sinograms are bitwise those of marching every sample.
 
 FBP filters each sinogram in place: the zero-padded spectra are
 multiplied by the ramp and inverse transformed in one buffer. A dose pair
@@ -201,45 +202,22 @@ def mu_to_hu(img, mu_water=MU_WATER_60KEV):
 
 _PAD = 2  # zero border: every corner of a clipped sample lands in it
 _KEPT_PER_GROUP = 10_000  # kept samples per numpy call: large enough to amortise call overhead
-_WINDOW_VIEWS = 16  # views per window computation: a few times 10^3 rays per numpy call
 
 
-def _axis_window(offset, slope, size, tol):
-    """Interval of ``s`` where the coordinate ``offset + s * slope`` can lie
-    in ``[-1, size)``, widened by ``tol`` coordinate units. Where ``slope``
-    is within ``tol`` of 0 the ray is nearly parallel to this axis, and the
-    interval is the whole line."""
-    steep = np.abs(slope) > tol
-    slope = np.where(steep, slope, 1.0)
-    a = (-1.0 - tol - offset) / slope
-    b = (size + tol - offset) / slope
-    return (np.where(steep, np.minimum(a, b), -np.inf),
-            np.where(steep, np.maximum(a, b), np.inf))
+def _support_window(s, t, ps, grid):
+    """Per-ray run of sample indices that holds every sample which can read
+    a nonzero pixel of ``grid`` (NaN and inf count, -0.0 does not). Returns
+    ``first`` and ``count``, one pair per ray, shared by every view.
 
-
-def _sample_windows(s, t, angles, ps, grid):
-    """Per-ray runs of sample indices that hold every sample which can read
-    a nonzero pixel of ``grid`` (NaN and inf count, -0.0 does not). Yields
-    ``first`` and ``count`` per ray, view after view.
-
-    Two conditions shrink a ray to its run:
-    - the sample touches the image: ``-1 <= xi < size`` and ``-1 <= yi <
-      size``;
-    - it lies within ``radius + sqrt(2)`` pixels of the grid centre, where
-      ``radius`` is the largest distance from the centre to a nonzero
-      pixel. A bilinear sample reads only corners within sqrt(2) pixels of
-      itself, the corner whose weight is exactly 0 included, so a sample
-      outside that disk reads only exact zeros. In ray coordinates the disk
-      is ``|s| <= sqrt(reach**2 - t**2)`` in every view, and a ray with
-      ``|t| > reach`` keeps nothing. The disk holds the whole square when
-      the image fills the grid, and no sample when the grid is all zeros.
-    Both coordinates are affine in ``s`` and the projector's float
-    arithmetic is monotone in it, so the kept samples form one run per ray.
-    The runs come from the exact formulas, widened by ``tol`` coordinate
-    units (a bound on the rounding of the projector's coordinates and of
-    this computation: a few float64 epsilons of the largest magnitude
-    involved), divided by the slope for the square. Views are taken
-    ``_WINDOW_VIEWS`` at a time, so memory grows with rays, not views."""
+    A bilinear sample reads only corners within sqrt(2) pixels of itself,
+    the corner whose weight is exactly 0 included. So a sample farther than
+    ``radius + sqrt(2)`` pixels from the grid centre, where ``radius`` is the
+    largest distance from the centre to a nonzero pixel, reads only exact
+    zeros. In ray coordinates that disk is ``|s| <= sqrt(reach**2 - t**2)``
+    whatever the view angle, and a ray with ``|t| > reach`` keeps nothing;
+    an all-zero grid keeps no sample. The disk is widened by ``tol`` pixels,
+    a bound on the rounding of the projector's coordinates and of this
+    computation: a few float64 epsilons of the largest magnitude involved."""
     size = grid.shape[0]
     center = (size - 1) / 2.0
     yy, xx = np.nonzero(grid)
@@ -249,15 +227,9 @@ def _sample_windows(s, t, angles, ps, grid):
     reach = (radius + math.sqrt(2.0) + tol) * ps
     half = np.sqrt(np.maximum(reach * reach - t * t, 0.0))
     hit = np.abs(t) <= reach
-    disk_lo, disk_hi = np.where(hit, -half, np.inf), np.where(hit, half, -np.inf)
-    for v in range(0, len(angles), _WINDOW_VIEWS):
-        theta = angles[v:v + _WINDOW_VIEWS, None]
-        ct, st = np.cos(theta), np.sin(theta)
-        x_lo, x_hi = _axis_window(t * ct / ps + center, -st / ps, size, tol)
-        y_lo, y_hi = _axis_window(t * st / ps + center, ct / ps, size, tol)
-        first = np.searchsorted(s, np.maximum(np.maximum(x_lo, y_lo), disk_lo), side="left")
-        stop = np.searchsorted(s, np.minimum(np.minimum(x_hi, y_hi), disk_hi), side="right")
-        yield from zip(first, np.maximum(stop - first, 0))
+    first = np.searchsorted(s, np.where(hit, -half, np.inf), side="left")
+    stop = np.searchsorted(s, np.where(hit, half, -np.inf), side="right")
+    return first, np.maximum(stop - first, 0)
 
 
 def forward_project(img, geom):
@@ -270,22 +242,18 @@ def forward_project(img, geom):
     masks; the four corners are flat ``take``s at offsets 0, 1, row and
     row + 1.
 
-    Only the samples in each ray's window (``_sample_windows``) are
-    computed: those that touch the image and lie within sqrt(2) pixels of
-    the disk, centred on the grid, that holds every nonzero pixel (NaN and
-    inf included). A skipped sample reads only exact zeros, +0.0 or -0.0,
-    and would add +0.0 to an accumulator that starts at +0.0. The kept
+    Only the samples in each ray's window (``_support_window``) are
+    computed. A skipped sample reads only exact zeros, +0.0 or -0.0, and
+    would add +0.0 to an accumulator that starts at +0.0. The kept
     contributions are written at their own positions into a zeroed
     full-length row per ray, and each ray's value is that whole row's
     ``.sum(axis=1) * step``: the summation order, and so every output bit,
-    is that of marching every sample. Rays go in groups of about
-    ``_KEPT_PER_GROUP`` kept samples within one view, at most the view's
-    rays: uncapped, the group would grow as the support shrinks, to 10^4
-    views' worth of rows for an all-zero image. They are computed in
-    scratch buffers that grow as needed and are reused across groups and
-    views: fresh temporaries of that size per group made the allocator hand
-    pages back and fault them in again, about 10^5 minor faults per 128x128
-    projection."""
+    is that of marching every sample. The windows do not depend on the
+    view, so the rays are split once into groups of about
+    ``_KEPT_PER_GROUP`` kept samples, at most one view's rays, and each
+    group's repeated ``t``, kept ``s`` and row positions serve every view.
+    At 128x128 a phantom marches 29% of the samples, and an image whose
+    support reaches the grid corners 78%."""
     if img.unit != MU_PER_MM:
         raise UnitError(f"forward_project expects attenuation input, got {img.unit!r}")
     H, W = img.grid.shape
@@ -308,35 +276,34 @@ def forward_project(img, geom):
     s = np.arange(-half_len, half_len + step, step)
     t = geom.detector_positions
 
-    def scratch(m):
-        return np.empty((9, m)), np.empty(m, np.intp), np.empty(m, np.intp), np.arange(m)
-
-    fbuf, jbuf, kbuf, lanes = scratch(0)
-    rows = np.zeros((0, len(s)))
+    first, count = _support_window(s, t, ps, img.grid)
+    group = min(len(t), max(1, _KEPT_PER_GROUP * len(t) // max(1, int(count.sum()))))
+    rows = np.zeros((group, len(s)))
+    groups = []
+    for b in range(0, len(t), group):
+        rays = slice(b, b + group)
+        n = count[rays]
+        ends = np.cumsum(n)
+        # the kept samples ray after ray: sample index j, and j's position
+        # in the group's rows
+        j = np.arange(ends[-1]) + np.repeat(first[rays] - (ends - n), n)
+        at = j + np.repeat(np.arange(len(n)) * len(s), n)
+        groups.append((rays, rows[:len(n)], np.repeat(t[rays], n), s[j], at))
+    longest = max(len(at) for *_, at in groups)
+    fbuf, kbuf = np.empty((9, longest)), np.empty(longest, np.intp)
     center = (H - 1) / 2.0
     values = np.empty((geom.n_views, geom.n_detectors), dtype=np.float64)
-    for vi, (theta, (first, count)) in enumerate(
-            zip(geom.angles, _sample_windows(s, t, geom.angles, ps, img.grid))):
+    for vi, theta in enumerate(geom.angles):
         ct, st = math.cos(theta), math.sin(theta)
-        # ray through t*u marching along v = (-sin, cos)
-        t_ct, t_st, s_st, s_ct = t * ct, t * st, s * st, s * ct
-        group = min(len(t), max(1, _KEPT_PER_GROUP * len(t) // max(1, int(count.sum()))))
-        if group > len(rows):
-            rows, row_start = np.zeros((group, len(s))), np.arange(group) * len(s)
-        for b in range(0, len(t), group):
-            rays = slice(b, b + group)
-            n = count[rays]
-            ends = np.cumsum(n)
-            m = ends[-1]
-            if m > len(lanes):  # with a row of headroom: about 10 growths per call
-                fbuf, jbuf, kbuf, lanes = scratch(m + len(s))
+        for rays, full, t_kept, s_kept, at in groups:
+            m = len(at)
             x, y, x0, y0, gx, gy, w, tmp, out = fbuf[:, :m]
-            j, k = jbuf[:m], kbuf[:m]
-            # the kept samples ray after ray; every index is in range, so
-            # the takes use the unbuffered mode="clip"
-            np.add(lanes[:m], np.repeat(first[rays] - (ends - n), n), out=j)
-            np.subtract(np.repeat(t_ct[rays], n), s_st.take(j, out=tmp, mode="clip"), out=x)
-            np.add(np.repeat(t_st[rays], n), s_ct.take(j, out=tmp, mode="clip"), out=y)
+            k = kbuf[:m]
+            # ray through t*u marching along v = (-sin, cos)
+            np.multiply(t_kept, ct, out=x)
+            x -= np.multiply(s_kept, st, out=tmp)
+            np.multiply(t_kept, st, out=y)
+            y += np.multiply(s_kept, ct, out=tmp)
             for v, v0, gv in ((x, x0, gx), (y, y0, gy)):
                 v /= ps
                 v += center
@@ -349,13 +316,13 @@ def forward_project(img, geom):
             y0 += origin
             k[...] = y0
             out.fill(0.0)
+            # every index is in range, so the takes use the unbuffered mode="clip"
             for c, wy, wx in zip(corners, (gy, gy, y, y), (gx, x, gx, x)):
                 np.multiply(wy, wx, out=w)
                 c.take(k, out=tmp, mode="clip")
                 tmp *= w
                 out += tmp
-            full = rows[:len(n)]
-            full.ravel()[j + np.repeat(row_start[:len(n)], n)] = out
+            full.ravel()[at] = out
             values[vi, rays] = full.sum(axis=1) * step
             full.fill(0.0)
     return Sinogram(values=values, geometry=geom)

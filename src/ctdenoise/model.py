@@ -308,9 +308,6 @@ class TransCT(Module):
     # -- forward paths ----------------------------------------------------
 
     def __call__(self, x_low, x_high, trace=None):
-        return self.forward(x_low, x_high, trace)
-
-    def forward(self, x_low, x_high, trace=None):
         """Both inputs are (B, 1, H, W) tensors with H, W multiples of 32;
         returns the denoised (B, 1, H, W) image. ``trace`` (a dict), when
         given, records intermediate shapes and the number of encoder-memory

@@ -186,7 +186,7 @@ def _read_checkpoint(path):
             arrays[name] = arr
     except TensorFormatError as exc:
         raise CheckpointError(f"{path}: bad tensor payload: {exc}") from None
-    return header, arrays
+    return header, arrays, len(raw) - offset
 
 
 def _check_header(path, header):
@@ -201,10 +201,12 @@ def _check_header(path, header):
         )
 
 
-def load_checkpoint_into(model, path):
-    """Restore parameters in place; the stored config must match the
-    model's. Returns the stored epoch."""
-    header, arrays = _read_checkpoint(path)
+def _restore(model, path, header, arrays, trailing):
+    """Check a parsed checkpoint against ``model``, then assign its
+    parameters in place; the stored config must match the model's. Any
+    ``trailing`` bytes after the last named tensor are an error, reported
+    after a missing or misshapen parameter so that a header which lost a
+    name says so. Returns the stored epoch."""
     stored = header["config"]
     current = asdict(model.config)
     # the init seed does not shape the architecture, so a checkpoint may
@@ -216,7 +218,8 @@ def load_checkpoint_into(model, path):
     }
     if diffs:
         raise CheckpointError(f"{path}: config mismatch {diffs}")
-    for name, p in model.named_parameters():
+    named = list(model.named_parameters())
+    for name, p in named:
         if name not in arrays:
             raise CheckpointError(f"{path}: checkpoint is missing parameter {name}")
         arr = arrays[name]
@@ -224,20 +227,28 @@ def load_checkpoint_into(model, path):
             raise CheckpointError(
                 f"{path}: parameter {name} has shape {arr.shape}, expected {tuple(p.shape)}"
             )
-        p.data = arr.astype(np.float32)
+    if trailing:
+        raise CheckpointError(f"{path}: trailing {trailing} bytes after the last tensor")
+    for name, p in named:
+        p.data = arrays[name].astype(np.float32)
     return header["epoch"]
+
+
+def load_checkpoint_into(model, path):
+    """Restore parameters in place; the stored config must match the
+    model's. Returns the stored epoch."""
+    return _restore(model, path, *_read_checkpoint(path))
 
 
 def load_checkpoint(path):
     """Rebuild the model a checkpoint describes. Returns (model, epoch)."""
-    header, _ = _read_checkpoint(path)
+    header, arrays, trailing = _read_checkpoint(path)
     try:
         config = ModelConfig(**header["config"])
     except (TypeError, ValueError, ArithmeticError) as exc:
         raise CheckpointError(f"{path}: bad config block: {exc}") from None
     model = build_model(config)
-    epoch = load_checkpoint_into(model, path)
-    return model, epoch
+    return model, _restore(model, path, header, arrays, trailing)
 
 
 # -- the loop --------------------------------------------------------------

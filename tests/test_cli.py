@@ -246,6 +246,14 @@ class TestDenoise:
         assert code == 1
         assert "magic" in capsys.readouterr().err
 
+    def test_checkpoint_with_trailing_bytes(self, workspace, tmp_path, capsys):
+        bad = tmp_path / "long.tck"
+        bad.write_bytes((workspace / "model" / "checkpoint.tck").read_bytes() + b"\0" * 29)
+        code = main(["denoise", "--checkpoint", str(bad),
+                     "--input", str(workspace / "crop.tct"), "--out", str(tmp_path / "o.tct")])
+        assert code == 1
+        assert "trailing 29 bytes" in capsys.readouterr().err
+
     @pytest.mark.parametrize("header", MALFORMED_HEADERS.values(), ids=MALFORMED_HEADERS)
     def test_malformed_checkpoint_header(self, workspace, tmp_path, capsys, header):
         bad = tmp_path / "bad.tck"

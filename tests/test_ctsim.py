@@ -364,17 +364,22 @@ class TestForwardProject:
                                        spacing)
 
 
+def ray_samples(size, spacing):
+    """The projector's sample positions along every ray."""
+    step = 0.5 * spacing
+    half_len = 0.5 * math.sqrt(2.0) * size * spacing
+    return np.arange(-half_len, half_len + step, step)
+
+
 class TestSampleWindows:
     GEOM = default_geometry(128)
 
     def counts(self, grid):
-        step = 0.5
-        s = np.arange(-0.5 * math.sqrt(2.0) * 128, 0.5 * math.sqrt(2.0) * 128 + step, step)
-        windows = ctsim._sample_windows(s, self.GEOM.detector_positions, self.GEOM.angles,
-                                        1.0, grid)
-        counts = np.array([count for _, count in windows])
-        assert counts.shape == (self.GEOM.n_views, self.GEOM.n_detectors)
-        return counts
+        first, count = ctsim._support_window(ray_samples(128, 1.0), self.GEOM.detector_positions,
+                                             1.0, grid)
+        # one run per detector, shared by every view
+        assert first.shape == count.shape == (self.GEOM.n_detectors,)
+        return count
 
     def test_phantom_keeps_its_body_disk(self):
         phantom = hu_to_mu(make_phantom(0, 128)).grid
@@ -384,6 +389,26 @@ class TestSampleWindows:
     def test_all_zero_image_keeps_nothing(self):
         assert self.counts(np.zeros((128, 128))).sum() == 0
         assert self.counts(np.full((128, 128), -0.0)).sum() == 0
+
+    @pytest.mark.parametrize("size", [32, 33, 64, 128])
+    @pytest.mark.parametrize("spacing", [1.0, 0.7])
+    def test_phantom_samples_all_touch_the_image(self, size, spacing):
+        # a phantom's body disk lies well inside its grid, so its window
+        # keeps no sample that reads only the zero border
+        geom = default_geometry(size, spacing, n_views=12)
+        s, t = ray_samples(size, spacing), geom.detector_positions
+        center = (size - 1) / 2.0
+        for seed in range(5):
+            grid = hu_to_mu(make_phantom(seed, size, pixel_spacing_mm=spacing)).grid
+            first, count = ctsim._support_window(s, t, spacing, grid)
+            assert count.sum() > 0
+            tk = np.repeat(t, count)
+            sk = s[np.concatenate([np.arange(f, f + c) for f, c in zip(first, count)])]
+            for theta in geom.angles:
+                x = (tk * math.cos(theta) - sk * math.sin(theta)) / spacing + center
+                y = (tk * math.sin(theta) + sk * math.cos(theta)) / spacing + center
+                for v in (x, y):
+                    assert -1 <= v.min() and v.max() < size, (seed, theta, v.min(), v.max())
 
     @pytest.mark.parametrize("pixel", [None, (64, 64)])
     def test_small_support_projects_in_little_memory(self, pixel):

@@ -263,6 +263,15 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="payload"):
             load_checkpoint(path)
 
+    def test_trailing_bytes(self, tmp_path):
+        path = tmp_path / "model.tck"
+        save_checkpoint(build_model(ModelConfig(**TINY)), path, epoch=7)
+        path.write_bytes(path.read_bytes() + b"junk" * 7 + b"!")
+        with pytest.raises(CheckpointError, match="trailing 29 bytes"):
+            load_checkpoint(path)
+        with pytest.raises(CheckpointError, match="trailing 29 bytes"):
+            load_checkpoint_into(build_model(ModelConfig(**TINY)), path)
+
     def test_unreadable_header(self, tmp_path):
         path = tmp_path / "model.tck"
         blob = b"{not json"
