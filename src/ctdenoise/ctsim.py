@@ -19,19 +19,29 @@ samples that read only the zero border. Each ray is still summed over
 its full-length sample row, with exact zeros where the skipped samples
 were, so the sinograms are bitwise those of marching every sample.
 
-FBP filters each sinogram in place: the zero-padded spectra are
-multiplied by the ramp and inverse transformed in one buffer. A dose pair
-shares its geometry, so its two filtered sinograms go into the real and
-imaginary parts of one complex buffer and are backprojected together: one
-``np.interp`` per view for both doses. ``np.interp`` treats the two parts
-apart and the detector steps are exactly 1.0, so each image is bitwise
-that of its own FBP.
+FBP filters each sinogram in place, a chunk of views at a time: the
+zero-padded spectra are multiplied by the ramp and inverse transformed in
+one buffer. A dose pair shares its geometry, so its two filtered
+sinograms go into the real and imaginary parts of one complex buffer and
+are backprojected together: one ``np.interp`` per view for both doses.
+``np.interp`` treats the two parts apart and the detector steps are
+exactly 1.0, so each image is bitwise that of its own FBP.
+
+Projection and backprojection use up to one thread per usable core: the
+projector's chunks of views and the backprojector's bands of image rows
+run on a pool of helper threads, made on first use, with the calling
+thread working too. Each chunk and band writes its own part of the output
+with the arithmetic of one thread, so the bits do not depend on the
+thread count. Work too small to pay for threads runs on the caller alone.
 """
 
 from __future__ import annotations
 
+import contextvars
 import math
+import os
 import shutil
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -201,7 +211,49 @@ def mu_to_hu(img, mu_water=MU_WATER_60KEV):
 
 
 _PAD = 2  # zero border: every corner of a clipped sample lands in it
-_KEPT_PER_GROUP = 10_000  # kept samples per numpy call: large enough to amortise call overhead
+_CHUNK_SAMPLES = 30_000  # kept samples per chunk: enough for numpy to run mostly without the GIL
+_CHUNK_ROWS = 2 * _CHUNK_SAMPLES  # full-row elements per chunk, for a support far inside the grid
+_THREADED_SAMPLES = 100_000  # kept samples per projection below which threads do not pay
+_BAND_ROWS = 64  # image rows per backprojection band below which threads do not pay
+_FILTER_VIEWS = 32  # views per FFT chunk of the FBP filter
+
+# usable cores; the pool of helper threads is made on first use
+_THREADS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+_pool = None
+_pool_lock = threading.Lock()
+
+
+def _run(job, tasks, threaded):
+    """Run ``job(take)`` on the calling thread and, if ``threaded``, on up to
+    ``_THREADS - 1`` pool threads. ``take()`` hands out the next task, or
+    None when none is left, so each job keeps its scratch across the tasks
+    it takes. The caller works through the tasks itself and then cancels
+    the helpers that have not started, so a caller whose helpers cannot
+    start (the pool is busy, or this is a forked child whose pool threads
+    are gone) finishes alone instead of waiting."""
+    global _pool
+    pending = iter(tasks)
+    lock = threading.Lock()
+
+    def take():
+        with lock:
+            return next(pending, None)
+
+    n_helpers = min(_THREADS if threaded else 1, len(tasks)) - 1
+    if n_helpers > 0:
+        with _pool_lock:
+            if _pool is None:
+                _pool = ThreadPoolExecutor(max(1, _THREADS - 1), "ctsim")
+    # each helper runs in a copy of the caller's context, so np.errstate holds there too
+    helpers = [_pool.submit(contextvars.copy_context().run, job, take)
+               for _ in range(n_helpers)]
+    try:
+        job(take)
+    finally:
+        for helper in helpers:
+            if not helper.cancel():
+                helper.result()
 
 
 def _support_window(s, t, ps, grid):
@@ -247,13 +299,20 @@ def forward_project(img, geom):
     would add +0.0 to an accumulator that starts at +0.0. The kept
     contributions are written at their own positions into a zeroed
     full-length row per ray, and each ray's value is that whole row's
-    ``.sum(axis=1) * step``: the summation order, and so every output bit,
-    is that of marching every sample. The windows do not depend on the
-    view, so the rays are split once into groups of about
-    ``_KEPT_PER_GROUP`` kept samples, at most one view's rays, and each
-    group's repeated ``t``, kept ``s`` and row positions serve every view.
-    At 128x128 a phantom marches 29% of the samples, and an image whose
-    support reaches the grid corners 78%."""
+    ``.sum(axis=-1) * step``: the summation order, and so every output bit,
+    is that of marching every sample. A ray with an empty window is never
+    marched: its value stays the +0.0 its full row would sum to.
+
+    The windows do not depend on the view, so the rays are split once into
+    groups, and each group's repeated ``t``, kept ``s`` and row positions
+    serve every view. The unit of work is a chunk of consecutive views of
+    one group, about ``_CHUNK_SAMPLES`` kept samples: several views of a
+    small image, or a part of one view of a large one. The chunks run on
+    ``_run``'s threads, each with its own scratch, once a projection keeps
+    ``_THREADED_SAMPLES`` samples; each chunk writes its own block of the
+    sinogram, so the bits do not depend on the thread count. At 128x128 a
+    phantom marches 29% of the samples, and an image whose support reaches
+    the grid corners 78%."""
     if img.unit != MU_PER_MM:
         raise UnitError(f"forward_project expects attenuation input, got {img.unit!r}")
     H, W = img.grid.shape
@@ -275,46 +334,64 @@ def forward_project(img, geom):
     half_len = 0.5 * math.sqrt(2.0) * H * ps
     s = np.arange(-half_len, half_len + step, step)
     t = geom.detector_positions
+    center = (H - 1) / 2.0
+    values = np.zeros((geom.n_views, geom.n_detectors), dtype=np.float64)
 
     first, count = _support_window(s, t, ps, img.grid)
-    group = min(len(t), max(1, _KEPT_PER_GROUP * len(t) // max(1, int(count.sum()))))
-    rows = np.zeros((group, len(s)))
-    groups = []
-    for b in range(0, len(t), group):
-        rays = slice(b, b + group)
-        n = count[rays]
-        ends = np.cumsum(n)
-        # the kept samples ray after ray: sample index j, and j's position
-        # in the group's rows
-        j = np.arange(ends[-1]) + np.repeat(first[rays] - (ends - n), n)
-        at = j + np.repeat(np.arange(len(n)) * len(s), n)
-        groups.append((rays, rows[:len(n)], np.repeat(t[rays], n), s[j], at))
-    longest = max(len(at) for *_, at in groups)
-    fbuf, kbuf = np.empty((9, longest)), np.empty(longest, np.intp)
-    center = (H - 1) / 2.0
-    values = np.empty((geom.n_views, geom.n_detectors), dtype=np.float64)
-    for vi, theta in enumerate(geom.angles):
-        ct, st = math.cos(theta), math.sin(theta)
-        for rays, full, t_kept, s_kept, at in groups:
-            m = len(at)
-            x, y, x0, y0, gx, gy, w, tmp, out = fbuf[:, :m]
-            k = kbuf[:m]
+    live = np.flatnonzero(count)
+    per_view = int(count.sum())
+    groups, views = [], 1
+    if per_view:
+        lo, hi = live[0], live[-1] + 1
+        width = -(-(hi - lo) // -(-per_view // _CHUNK_SAMPLES))  # rays per group
+        views = max(1, min(geom.n_views, _CHUNK_SAMPLES // per_view,
+                           _CHUNK_ROWS // (width * len(s))))
+        for b in range(lo, hi, width):
+            rays = slice(b, min(b + width, hi))
+            n = count[rays]
+            ends = np.cumsum(n)
+            # the kept samples ray after ray: sample index j, and j's position
+            # in one view's rows of the group
+            j = np.arange(ends[-1]) + np.repeat(first[rays] - (ends - n), n)
+            at = j + np.repeat(np.arange(len(n)) * len(s), n)
+            groups.append((rays, np.repeat(t[rays], n), s[j], at))
+    longest = views * max((len(at) for *_, at in groups), default=0)
+    angles = geom.angles
+    cos = np.array([math.cos(theta) for theta in angles])[:, None]
+    sin = np.array([math.sin(theta) for theta in angles])[:, None]
+    # x = t*cos + s*(-sin) and y = t*sin + s*cos, both axes in one call;
+    # s*(-sin) is exactly -(s*sin), so x is bitwise t*cos - s*sin
+    t_trig, s_trig = np.stack([cos, sin]), np.stack([-sin, cos])
+    chunks = [(slice(v, v + views), g) for v in range(0, len(angles), views) for g in groups]
+
+    def march(take):
+        fbuf = None
+        while (chunk := take()) is not None:
+            vs, (rays, t_kept, s_kept, at) = chunk
+            tt, st = t_trig[:, vs], s_trig[:, vs]
+            nv, m = tt.shape[1], len(t_kept)
+            if fbuf is None:  # this thread's scratch
+                fbuf, kbuf = np.empty((7, longest)), np.empty(longest, np.intp)
+                rows = np.zeros((views, width * len(s)))
+            b = fbuf[:, :nv * m].reshape(7, nv, m)
+            xy, xy0, g, out = b[0:2], b[2:4], b[4:6], b[6]
+            k = kbuf[:nv * m].reshape(nv, m)
             # ray through t*u marching along v = (-sin, cos)
-            np.multiply(t_kept, ct, out=x)
-            x -= np.multiply(s_kept, st, out=tmp)
-            np.multiply(t_kept, st, out=y)
-            y += np.multiply(s_kept, ct, out=tmp)
-            for v, v0, gv in ((x, x0, gx), (y, y0, gy)):
-                v /= ps
-                v += center
-                np.clip(v, -_PAD, H, out=v)
-                np.floor(v, out=v0)
-                v -= v0  # the fraction
-                np.subtract(1, v, out=gv)
+            np.multiply(t_kept, tt, out=xy)
+            xy += np.multiply(s_kept, st, out=xy0)
+            xy /= ps
+            xy += center
+            np.maximum(xy, -_PAD, out=xy)
+            np.minimum(xy, H, out=xy)
+            np.floor(xy, out=xy0)
+            xy -= xy0  # the fractions
+            np.subtract(1, xy, out=g)
+            (x, y), (x0, y0), (gx, gy) = xy, xy0, g
             y0 *= row
             y0 += x0
             y0 += origin
             k[...] = y0
+            w, tmp = x0, y0  # free once k is made
             out.fill(0.0)
             # every index is in range, so the takes use the unbuffered mode="clip"
             for c, wy, wx in zip(corners, (gy, gy, y, y), (gx, x, gx, x)):
@@ -322,9 +399,12 @@ def forward_project(img, geom):
                 c.take(k, out=tmp, mode="clip")
                 tmp *= w
                 out += tmp
-            full.ravel()[at] = out
-            values[vi, rays] = full.sum(axis=1) * step
+            full = rows[:nv, :(rays.stop - rays.start) * len(s)]
+            full[:, at] = out
+            values[vs, rays] = full.reshape(nv, -1, len(s)).sum(axis=-1) * step
             full.fill(0.0)
+
+    _run(march, chunks, per_view * len(angles) >= _THREADED_SAMPLES)
     return Sinogram(values=values, geometry=geom)
 
 
@@ -366,9 +446,11 @@ def _filter(values, geom, window, out):
     """Ramp-filter each view of ``values`` (views x detectors) and write
     the result, in mu per mm, into the float64 array ``out`` of the same
     shape; ``out`` may be a strided view such as the ``.real`` of a complex
-    buffer. The zero-padded spectra are filtered in place: ``spectra *=
-    ramp`` is the same complex multiply as ``spectra * ramp[None, :]``, and
-    the inverse FFT writes back into ``spectra``."""
+    buffer. The zero-padded spectra of ``_FILTER_VIEWS`` views at a time are
+    filtered in place: ``spectra *= ramp`` is the same complex multiply as
+    ``spectra * ramp[None, :]``, the inverse FFT writes back into
+    ``spectra``, and the FFT transforms each view on its own, so the chunks
+    give the bits of one whole-sinogram transform."""
     values = np.asarray(values, dtype=np.float64)
     if values.shape != (geom.n_views, geom.n_detectors):
         raise ValueError(
@@ -388,33 +470,47 @@ def _filter(values, geom, window, out):
         frac = np.abs(np.fft.fftfreq(n_pad)) * 2.0  # 0 at DC, 1 at Nyquist
         ramp = ramp * (0.5 * (1.0 + np.cos(np.pi * frac)))
 
-    spectra = np.fft.fft(values, n=n_pad, axis=1)
-    spectra *= ramp
-    np.fft.ifft(spectra, axis=1, out=spectra)
-    np.multiply(spectra.real[:, :n_det], d, out=out)
+    buf = np.empty((min(_FILTER_VIEWS, geom.n_views), n_pad), dtype=np.complex128)
+    for v in range(0, geom.n_views, _FILTER_VIEWS):
+        views = slice(v, v + _FILTER_VIEWS)
+        spectra = buf[:len(values[views])]
+        np.fft.fft(values[views], n=n_pad, axis=1, out=spectra)
+        spectra *= ramp
+        np.fft.ifft(spectra, axis=1, out=spectra)
+        np.multiply(spectra.real[:, :n_det], d, out=out[views])
 
 
 def _backproject(filtered, geom):
     """Linear-interpolation backprojection, summed view after view and
     unscaled, of float64 filtered views or of two packed into the real and
     imaginary parts of complex128 ones (each part of the result is then
-    bitwise that part's own backprojection)."""
+    bitwise that part's own backprojection). Each pixel depends only on its
+    own coordinates, so bands of image rows run on ``_run``'s threads, each
+    band summing all views in order; the bits do not depend on the band
+    count."""
     size = geom.image_size
     n_det = geom.n_detectors
     d = geom.detector_spacing_mm
     coords = (np.arange(size) - (size - 1) / 2.0) * geom.pixel_spacing_mm
     det_index = np.arange(n_det, dtype=np.float64)
     center = (n_det - 1) / 2.0
-
-    idx = np.empty((size, size))
+    trig = [(math.sin(theta), math.cos(theta)) for theta in geom.angles]
     recon = np.zeros((size, size), dtype=filtered.dtype)
-    for vi, theta in enumerate(geom.angles):
-        np.add(coords[:, None] * math.sin(theta), coords * math.cos(theta), out=idx)
-        idx /= d
-        idx += center
-        recon += np.interp(idx.ravel(), det_index, filtered[vi], left=0.0, right=0.0).reshape(
-            size, size
-        )
+
+    def sweep(take):
+        while (rows := take()) is not None:
+            band = recon[rows]
+            idx = np.empty(band.shape)
+            for vi, (sin, cos) in enumerate(trig):
+                np.add(coords[rows, None] * sin, coords * cos, out=idx)
+                idx /= d
+                idx += center
+                band += np.interp(idx.ravel(), det_index, filtered[vi], left=0.0,
+                                  right=0.0).reshape(band.shape)
+
+    n_bands = max(1, min(_THREADS, size // _BAND_ROWS))
+    width = -(-size // n_bands)
+    _run(sweep, [slice(r, r + width) for r in range(0, size, width)], True)
     return recon
 
 
@@ -490,9 +586,13 @@ def simulate_pair(seed, pair_index, size, dose, geom=None, n_ellipses=6,
 
 def make_dataset(n_pairs, size, dose, seed, geom=None, n_ellipses=6,
                  mu_water=MU_WATER_60KEV, workers=1):
-    """Generate aligned LDCT/NDCT pairs; optionally fan out across pairs."""
+    """Generate aligned LDCT/NDCT pairs, ``workers`` pairs at a time. Each
+    pair still projects and backprojects on ``_run``'s threads; the bits
+    are the same for any ``workers``."""
     if n_pairs < 1:
         raise ValueError(f"n_pairs must be >= 1, got {n_pairs}")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     geom = geom or default_geometry(size)
 
     def build(i):

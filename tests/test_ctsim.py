@@ -6,7 +6,11 @@ so a consistent-but-wrong scaling cannot pass.
 """
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -737,3 +741,127 @@ class TestDataset:
         (tmp_path / "ds" / "pairs" / stray).touch()
         with pytest.raises(ValueError, match=f"ds.*'{stray}'.* not a pair index"):
             load_dataset(tmp_path / "ds")
+
+
+def special_grids(size):
+    """All zeros, and exact zeros holding -0.0, +-inf and NaN."""
+    grid = np.zeros((size, size))
+    grid[size // 2, size // 3] = np.nan
+    grid[1, 1] = -0.0
+    grid[3, size - 2] = np.inf
+    grid[size - 1, 0] = -np.inf
+    return [np.zeros((size, size)), grid]
+
+
+def threaded(monkeypatch, n):
+    """Run ctsim's chunks on ``n`` threads, down to the smallest work."""
+    monkeypatch.setattr(ctsim, "_THREADS", n)
+    monkeypatch.setattr(ctsim, "_THREADED_SAMPLES", 0)
+    monkeypatch.setattr(ctsim, "_BAND_ROWS", 8)
+
+
+@pytest.fixture
+def fresh_pool(monkeypatch):
+    """A helper pool made, and shut down, inside the test."""
+    monkeypatch.setattr(ctsim, "_pool", None)
+    yield
+    if ctsim._pool is not None:
+        ctsim._pool.shutdown()
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestThreads:
+    CASES = [(32, 1.0, 360), (33, 1.0, 360), (64, 1.0, 360), (128, 0.7, 360), (64, 1.0, 7)]
+
+    def outputs(self, monkeypatch, n, size, spacing, n_views):
+        threaded(monkeypatch, n)
+        geom = default_geometry(size, spacing, n_views=n_views)
+        phantom = hu_to_mu(make_phantom(size, size, pixel_spacing_mm=spacing)).grid
+        with np.errstate(invalid="ignore"):
+            sinos = [forward_project(CtImage(g, MU_PER_MM, spacing), geom)
+                     for g in [phantom] + special_grids(size)]
+        noisy = insert_poisson_noise(sinos[0], DoseConfig())
+        recon = [fbp(sinos[0], geom).grid, fbp(sinos[1], geom, "hann").grid]
+        recon += [img.grid for img in ctsim._fbp_pair(noisy, sinos[0], geom, "ramlak")]
+        return [s.values for s in sinos] + recon
+
+    @pytest.mark.parametrize("size, spacing, n_views", CASES)
+    def test_bits_do_not_depend_on_thread_count(self, monkeypatch, size, spacing, n_views):
+        one = self.outputs(monkeypatch, 1, size, spacing, n_views)
+        two = self.outputs(monkeypatch, 2, size, spacing, n_views)
+        assert all(same_bits(a, b) for a, b in zip(one, two))
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("size, spacing", [(33, 1.3), (64, 0.7)])
+    def test_ray_groups_match_full_rows(self, monkeypatch, n, size, spacing):
+        # a budget far below one view's kept samples splits each view into
+        # many ray groups, as a large image does
+        threaded(monkeypatch, n)
+        monkeypatch.setattr(ctsim, "_CHUNK_SAMPLES", 300)
+        geom = default_geometry(size, spacing, n_views=12)
+        phantom = hu_to_mu(make_phantom(size, size, pixel_spacing_mm=spacing)).grid
+        for grid in [phantom] + stress_images(size, seed=size) + special_grids(size):
+            assert_projects_like_full_rows(grid, geom, spacing)
+
+    def test_more_threads_than_cores_under_fast_switching(self, monkeypatch, fresh_pool):
+        # a chunk or band taken twice or never would leave zeros or
+        # double-counted pixels somewhere
+        geom = default_geometry(64, n_views=60)
+        phantom = hu_to_mu(make_phantom(0, 64))
+        want = forward_project(phantom, geom).values
+        want_image = fbp(Sinogram(want, geom), geom).grid
+        threaded(monkeypatch, 6)
+        monkeypatch.setattr(ctsim, "_CHUNK_SAMPLES", 2000)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                got = forward_project(phantom, geom).values
+                assert same_bits(got, want)
+                assert same_bits(fbp(Sinogram(got, geom), geom).grid, want_image)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_errstate_holds_on_helper_threads(self, monkeypatch):
+        # +inf next to -inf: samples in every view add inf and -inf; a
+        # helper thread that ignored the caller's errstate would warn, and
+        # the warning filter turns that into an error
+        threaded(monkeypatch, 2)
+        grid = np.zeros((64, 64))
+        grid[31], grid[32] = np.inf, -np.inf
+        img, geom = CtImage(grid, MU_PER_MM), default_geometry(64)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(invalid="ignore"):
+                values = forward_project(img, geom).values
+            with np.errstate(invalid="raise"), pytest.raises(FloatingPointError):
+                forward_project(img, geom)
+        assert np.isnan(values).any(axis=1).all()
+
+    def test_pair_threads_match_serial_on_the_inner_pool(self, monkeypatch, fresh_pool):
+        threaded(monkeypatch, 2)
+        dose = DoseConfig(i0=5e4)
+        parallel = make_dataset(3, 64, dose, seed=5, workers=2)
+        assert ctsim._pool is not None
+        serial = make_dataset(3, 64, dose, seed=5, workers=1)
+        for a, b in zip(serial, parallel):
+            assert same_bits(a.ld.grid, b.ld.grid) and same_bits(a.nd.grid, b.nd.grid)
+        monkeypatch.setattr(ctsim, "_THREADS", 1)
+        for a, b in zip(serial, make_dataset(3, 64, dose, seed=5)):
+            assert same_bits(a.ld.grid, b.ld.grid) and same_bits(a.nd.grid, b.nd.grid)
+
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_dataset_workers_validated(self, workers):
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            make_dataset(1, 64, DoseConfig(), seed=0, workers=workers)
+
+    def test_import_starts_no_thread(self):
+        src = os.path.dirname(os.path.dirname(ctsim.__file__))
+        code = ("import sys, threading; sys.path.insert(0, sys.argv[1]); import ctdenoise; "
+                "print(threading.active_count())")
+        out = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True,
+                             check=True, timeout=60)
+        assert out.stdout.strip() == "1"
