@@ -162,7 +162,14 @@ def cmd_eval(args):
     preds = [denoise_image(model, p.ld).grid for p in pairs]
     base = evaluate_pairs(lows, refs, data_range)
     ours = evaluate_pairs(preds, refs, data_range)
-    print(f"{len(pairs)} pairs (reference: normal dose)")
+    # the rows cover every pair; say which of them train fitted
+    try:
+        fit, held = _split_pairs(pairs, cfg["train.val_pairs"])
+        split = (f"the last {len(held)} held out by train.val_pairs, "
+                 f"the first {len(fit)} trained on")
+    except ConfigError as exc:
+        split = f"no train split: {exc}"
+    print(f"{len(pairs)} pairs (reference: normal dose; {split})")
     print(base.row("low-dose"))
     print(ours.row("denoised"))
     return 0

@@ -305,23 +305,47 @@ class TransCT(Module):
             if variant == "full":
                 self.pos_dec = xavier_init(((s // 16) ** 2, c256), rng)
 
-    # -- forward paths ----------------------------------------------------
+    # -- forward ----------------------------------------------------------
 
     def __call__(self, x_low, x_high, trace=None):
-        """Both inputs are (B, 1, H, W) tensors with H, W multiples of 32;
-        returns the denoised (B, 1, H, W) image. ``trace`` (a dict), when
-        given, records intermediate shapes and the number of encoder-memory
-        reads."""
+        """Both inputs are (B, 1, H, W) tensors with H, W multiples of 32,
+        and ``pos_image_size`` square for a model with positional
+        embeddings; returns the denoised (B, 1, H, W) image. ``trace`` (a
+        dict), when given, receives the intermediate shapes and the number
+        of encoder-memory reads."""
         self._check_inputs(x_low, x_high)
         variant = self.config.variant
+        # no_dual_path sums the bands back together into one column
+        t, c1, c2 = self._content_column(
+            add(x_low, x_high) if variant == "no_dual_path" else x_low)
+        shapes = {"trunk": t.shape, "x_lc1": c1.shape, "x_lc2": c2.shape}
         if variant == "full":
-            out = self._forward_full(x_low, x_high, trace)
+            tx = self.tex3(self.tex2(self.tex1(t)))
+            hf = self._hf_features(x_high)
+            lt, ht = tokenize(tx), tokenize(hf)
+            shapes.update(x_hf=hf.shape, x_lt=tx.shape, s_l=lt.shape, s_h=ht.shape)
+            if self.config.use_positional:
+                ht = add(ht, self.pos_dec)
+            memory = self._encode(lt)
+            for dec in self.decoders:
+                ht = dec(ht, memory, trace)
+            y = detokenize(ht, hf.shape[2], hf.shape[3])
         elif variant == "no_transformer":
-            out = self._forward_no_transformer(x_low, x_high, trace)
+            tx = self.tex2(self.tex1(t))
+            hf = self._hf_features(x_high)
+            shapes["x_hf"] = hf.shape
+            y = self.fuse(concat([hf, tx], axis=1))
+            for block in self.fuse_blocks:
+                y = block(y)
         else:
-            out = self._forward_no_dual_path(x_low, x_high, trace)
+            tokens = tokenize(c2)
+            shapes["s_l"] = tokens.shape
+            y = detokenize(self._encode(tokens), c2.shape[2], c2.shape[3])
+        shapes["y"] = y.shape
+        out = self._reconstruct(y, c1, c2, shapes)
+        shapes["out"] = out.shape
         if trace is not None:
-            trace["out"] = out.shape
+            trace.update(shapes)
         return out
 
     def _check_inputs(self, x_low, x_high):
@@ -338,83 +362,33 @@ class TransCT(Module):
                 f"spatial extents must be multiples of 32 for the 16-fold "
                 f"high band and the 32x texture downsampling, got {H}x{W}"
             )
+        s = self.config.pos_image_size
+        if hasattr(self, "pos_enc") and (H, W) != (s, s):
+            raise ShapeError(
+                f"the positional embeddings fit model.pos_image_size = {s}, "
+                f"i.e. {s}x{s} inputs, got {H}x{W}"
+            )
 
-    def _content_column(self, x_low, trace):
+    def _content_column(self, x_low):
         t = self.trunk2(self.trunk1(x_low))
         c1 = self.content1(t)
-        c2 = self.content2(c1)
-        if trace is not None:
-            trace["trunk"] = t.shape
-            trace["x_lc1"] = c1.shape
-            trace["x_lc2"] = c2.shape
-        return t, c1, c2
+        return t, c1, self.content2(c1)
 
-    def _reconstruct(self, y, c1, c2, trace):
-        r1 = self.res1(add(y, c2))
-        u1 = pixel_shuffle(r1, 2)
-        r2 = self.res2(add(u1, c1))
-        if trace is not None:
-            trace["stage1"] = u1.shape
-            trace["stage2"] = r2.shape
-        return pixel_shuffle(r2, 8)
+    def _hf_features(self, x_high):
+        return self.hf3(self.hf2(self.hf1(pixel_unshuffle(x_high, HF_FOLD))))
 
-    def _hf_features(self, x_high, trace):
-        hf = self.hf3(self.hf2(self.hf1(pixel_unshuffle(x_high, HF_FOLD))))
-        if trace is not None:
-            trace["x_hf"] = hf.shape
-        return hf
-
-    def _forward_full(self, x_low, x_high, trace):
-        t, c1, c2 = self._content_column(x_low, trace)
-        tx = self.tex3(self.tex2(self.tex1(t)))
-        hf = self._hf_features(x_high, trace)
-        if trace is not None:
-            trace["x_lt"] = tx.shape
-
-        lt = tokenize(tx)
-        ht = tokenize(hf)
-        if trace is not None:
-            trace["s_l"] = lt.shape
-            trace["s_h"] = ht.shape
-
-        if self.config.use_positional:
-            lt = add(lt, self.pos_enc)
-            ht = add(ht, self.pos_dec)
-        for enc in self.encoders:
-            lt = enc(lt)
-        memory = lt
-        for dec in self.decoders:
-            ht = dec(ht, memory, trace)
-        y = detokenize(ht, hf.shape[2], hf.shape[3])
-        if trace is not None:
-            trace["y"] = y.shape
-        return self._reconstruct(y, c1, c2, trace)
-
-    def _forward_no_transformer(self, x_low, x_high, trace):
-        t, c1, c2 = self._content_column(x_low, trace)
-        tx = self.tex2(self.tex1(t))
-        hf = self._hf_features(x_high, trace)
-        fused = self.fuse(concat([hf, tx], axis=1))
-        for block in self.fuse_blocks:
-            fused = block(fused)
-        if trace is not None:
-            trace["y"] = fused.shape
-        return self._reconstruct(fused, c1, c2, trace)
-
-    def _forward_no_dual_path(self, x_low, x_high, trace):
-        x = add(x_low, x_high)
-        _, c1, c2 = self._content_column(x, trace)
-        tokens = tokenize(c2)
-        if trace is not None:
-            trace["s_l"] = tokens.shape
+    def _encode(self, tokens):
         if self.config.use_positional:
             tokens = add(tokens, self.pos_enc)
         for enc in self.encoders:
             tokens = enc(tokens)
-        y = detokenize(tokens, c2.shape[2], c2.shape[3])
-        if trace is not None:
-            trace["y"] = y.shape
-        return self._reconstruct(y, c1, c2, trace)
+        return tokens
+
+    def _reconstruct(self, y, c1, c2, shapes):
+        u1 = pixel_shuffle(self.res1(add(y, c2)), 2)
+        r2 = self.res2(add(u1, c1))
+        shapes["stage1"], shapes["stage2"] = u1.shape, r2.shape
+        return pixel_shuffle(r2, 8)
 
 
 def build_model(config):

@@ -13,7 +13,9 @@ from conftest import MALFORMED_HEADERS, write_header_only_checkpoint
 from ctdenoise.cli import THREADS_ENV, main
 from ctdenoise.config import parse_config_text
 from ctdenoise.ctsim import load_dataset
+from ctdenoise.model import ModelConfig, build_model
 from ctdenoise.tctio import read_tensor, write_tensor
+from ctdenoise.training import save_checkpoint
 
 SMOKE_CFG = """
 data.n_pairs = 3
@@ -238,6 +240,18 @@ class TestDenoise:
                      "--input", str(inp), "--out", str(out), "--force"])
         assert code == 0
 
+    def test_input_off_the_positional_size(self, tmp_path, capsys):
+        model = build_model(ModelConfig(width=0.0625, n_heads=2, use_positional=True,
+                                        pos_image_size=64))
+        save_checkpoint(model, tmp_path / "pos.tck", 0)
+        write_tensor(tmp_path / "big.tct", np.zeros((96, 96), np.float32))
+        code = main(["denoise", "--checkpoint", str(tmp_path / "pos.tck"),
+                     "--input", str(tmp_path / "big.tct"), "--out", str(tmp_path / "o.tct")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "pos_image_size" in err and "96x96" in err
+        assert not (tmp_path / "o.tct").exists()
+
     def test_bad_checkpoint(self, workspace, tmp_path, capsys):
         bad = tmp_path / "junk.tck"
         bad.write_bytes(b"not a checkpoint")
@@ -272,6 +286,37 @@ class TestEval:
         out = capsys.readouterr().out
         assert "3 pairs" in out
         assert "low-dose" in out and "denoised" in out
+        assert out.count("rmse") == 2
+
+    def test_header_names_the_train_split(self, workspace, capsys):
+        code = main(["eval", "--checkpoint", str(workspace / "model" / "checkpoint.tck"),
+                     "--data", str(workspace / "data")])
+        assert code == 0
+        assert capsys.readouterr().out.splitlines()[0] == (
+            "3 pairs (reference: normal dose; the last 1 held out by "
+            "train.val_pairs, the first 2 trained on)")
+
+    def test_header_without_held_out_pairs(self, workspace, tmp_path, capsys):
+        cfg = tmp_path / "all.cfg"
+        cfg.write_text("train.val_pairs = 0\n")
+        code = main(["eval", "--config", str(cfg),
+                     "--checkpoint", str(workspace / "model" / "checkpoint.tck"),
+                     "--data", str(workspace / "data")])
+        assert code == 0
+        assert "the last 0 held out by train.val_pairs, the first 3 trained on" in (
+            capsys.readouterr().out)
+
+    def test_dataset_train_would_refuse(self, workspace, tmp_path, capsys):
+        # one pair at the default val_pairs = 1 leaves train nothing to fit
+        cfg = tmp_path / "one.cfg"
+        cfg.write_text("data.n_pairs = 1\ndata.size = 64\ndata.n_views = 30\n")
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "d")]) == 0
+        capsys.readouterr()
+        code = main(["eval", "--checkpoint", str(workspace / "model" / "checkpoint.tck"),
+                     "--data", str(tmp_path / "d")])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert out.startswith("1 pairs (reference: normal dose; no train split: ")
         assert out.count("rmse") == 2
 
 

@@ -207,6 +207,45 @@ class TestForwardShapes:
         assert trace["stage2"] == (2, 64, 8, 8)
         assert out.shape == (2, 1, 64, 64)
 
+    @pytest.mark.parametrize("variant, own", [
+        ("no_transformer", {"x_hf": (2, 64, 4, 4)}),
+        ("no_dual_path", {"s_l": (2, 16, 64)}),
+    ])
+    def test_trace_ledger_reduced_variants(self, variant, own):
+        model = build_model(ModelConfig(width=0.25, variant=variant, seed=0))
+        rng = np.random.default_rng(0)
+        low, high = bands(rng, (2, 1, 64, 64))
+        trace = {}
+        model(low, high, trace)
+        assert trace == {
+            "trunk": (2, 16, 16, 16),
+            "x_lc1": (2, 16, 8, 8),
+            "x_lc2": (2, 64, 4, 4),
+            **own,
+            "y": (2, 64, 4, 4),
+            "stage1": (2, 16, 8, 8),
+            "stage2": (2, 64, 8, 8),
+            "out": (2, 1, 64, 64),
+        }
+
+    @pytest.mark.parametrize("variant", ["full", "no_transformer", "no_dual_path"])
+    def test_trace_only_observes(self, variant):
+        from ctdenoise.tensor import tsum
+
+        model = build_model(ModelConfig(
+            variant=variant, use_positional=True, pos_image_size=32, **TINY))
+        rng = np.random.default_rng(11)
+        low, high = bands(rng, (1, 1, 32, 32))
+        runs = []
+        for args in ((low, high), (low, high, {})):
+            model.zero_grad()
+            out = model(*args)
+            tsum(out).backward()
+            runs.append([out.numpy()] + [p.grad for p in model.parameters()])
+        assert len(runs[0]) == len(runs[1])
+        for a, b in zip(*runs):
+            assert np.array_equal(a, b)
+
     def test_memory_read_per_decoder(self):
         model = build_model(ModelConfig(**TINY))
         rng = np.random.default_rng(1)
@@ -303,6 +342,27 @@ class TestPositional:
         low, high = bands(rng, (1, 1, 64, 64))
         with pytest.raises(ShapeError):
             model(low, high)
+
+    @pytest.mark.parametrize("variant", ["full", "no_dual_path"])
+    # 128x32 has as many tokens as 64x64, so without the check it ran
+    # with every embedding on the wrong position
+    @pytest.mark.parametrize("shape", [(96, 96), (64, 96), (128, 32)])
+    def test_size_error_names_the_setting(self, variant, shape):
+        model = build_model(ModelConfig(
+            variant=variant, use_positional=True, pos_image_size=64, **TINY))
+        rng = np.random.default_rng(12)
+        low, high = bands(rng, (1, 1) + shape)
+        expected = rf"model\.pos_image_size = 64.*got {shape[0]}x{shape[1]}"
+        with pytest.raises(ShapeError, match=expected):
+            model(low, high)
+
+    def test_no_transformer_takes_any_size(self):
+        # no token stage, so no embeddings to fit
+        model = build_model(ModelConfig(
+            variant="no_transformer", use_positional=True, pos_image_size=64, **TINY))
+        rng = np.random.default_rng(13)
+        low, high = bands(rng, (1, 1, 96, 96))
+        assert model(low, high).shape == (1, 1, 96, 96)
 
 
 class TestVariantSemantics:
