@@ -46,7 +46,8 @@ def _workers():
     return n
 
 
-def _resolve_config(args):
+def _resolve_config(args, fallback=None):
+    """Defaults, then ``--config`` (or else ``fallback``), then command-line overrides."""
     overrides = {}
     seed = getattr(args, "seed", None)
     if seed is not None:
@@ -54,7 +55,7 @@ def _resolve_config(args):
     variant = getattr(args, "variant", None)
     if variant is not None:
         overrides["model.variant"] = variant
-    return load_run_config(getattr(args, "config", None), overrides)
+    return load_run_config(getattr(args, "config", None) or fallback, overrides)
 
 
 def _read_image(path):
@@ -120,18 +121,33 @@ def _split_pairs(pairs, val_n):
     return pairs[:-val_n], pairs[-val_n:]
 
 
+def _fit(cfg, out, force, train_pairs, val_pairs):
+    """Train one run into ``out`` (overwrite guard, ``run.cfg``, build, train).
+    Returns (model, TrainResult); TrainingDiverged carries ``exc.model``."""
+    if (out / "checkpoint.tck").exists() and not force:
+        raise FileExistsError(f"{out} already holds a checkpoint; pass --force to overwrite")
+    out.mkdir(parents=True, exist_ok=True)
+    (out / "run.cfg").write_text(cfg.dump())
+    model = build_model(cfg.model_config())
+    log.info("-- %s (%d parameters)", out, count_parameters(model))
+    try:
+        return model, train(model, train_pairs, val_pairs, cfg.train_config(), out)
+    except TrainingDiverged as exc:
+        exc.model = model
+        raise
+
+
+def _score(images, pairs, cfg):
+    """Score images against the pairs' normal-dose grids."""
+    return evaluate_pairs(images, [p.nd.grid for p in pairs], cfg["eval.data_range"] or None)
+
+
 def cmd_train(args):
     logging.basicConfig(level=logging.INFO, format="%(message)s")
     cfg = _resolve_config(args)
     pairs, _ = load_dataset(args.data)
     train_pairs, val_pairs = _split_pairs(pairs, cfg["train.val_pairs"])
-    out = Path(args.out)
-    if (out / "checkpoint.tck").exists() and not args.force:
-        raise FileExistsError(f"{out} already holds a checkpoint; pass --force to overwrite")
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "run.cfg").write_text(cfg.dump())
-    model = build_model(cfg.model_config())
-    result = train(model, train_pairs, val_pairs, cfg.train_config(), out)
+    _, result = _fit(cfg, Path(args.out), args.force, train_pairs, val_pairs)
     print(
         f"trained {cfg['model.variant']} for {result.epochs_run} epochs: "
         f"train mse {result.final_train_mse:.3e}, val rmse {result.final_val_rmse:.2f} HU"
@@ -153,15 +169,13 @@ def cmd_denoise(args):
 
 
 def cmd_eval(args):
-    cfg = _resolve_config(args)
+    # without --config, split and score as the run that wrote the checkpoint did
+    written = Path(args.checkpoint).with_name("run.cfg")
+    cfg = _resolve_config(args, written if written.exists() else None)
     model, _ = load_checkpoint(args.checkpoint)
     pairs, _ = load_dataset(args.data)
-    data_range = cfg["eval.data_range"] or None
-    refs = [p.nd.grid for p in pairs]
-    lows = [p.ld.grid for p in pairs]
-    preds = [denoise_image(model, p.ld).grid for p in pairs]
-    base = evaluate_pairs(lows, refs, data_range)
-    ours = evaluate_pairs(preds, refs, data_range)
+    base = _score([p.ld.grid for p in pairs], pairs, cfg)
+    ours = _score([denoise_image(model, p.ld).grid for p in pairs], pairs, cfg)
     # the rows cover every pair; say which of them train fitted
     try:
         fit, held = _split_pairs(pairs, cfg["train.val_pairs"])
@@ -182,7 +196,6 @@ def cmd_ablate(args):
     cfg = _resolve_config(args)
     pairs, _ = load_dataset(args.data)
     train_pairs, val_pairs = _split_pairs(pairs, cfg["train.val_pairs"])
-    out = Path(args.out)
 
     runs = [(variant, {"model.variant": variant}) for variant in VARIANTS]
     runs += [
@@ -194,26 +207,14 @@ def cmd_ablate(args):
     rows = []
     for label, overrides in runs:
         rcfg = RunConfig({**cfg.values, **overrides})
-        rdir = out / label
-        if (rdir / "checkpoint.tck").exists() and not args.force:
-            raise FileExistsError(f"{rdir} already holds a checkpoint; pass --force")
-        rdir.mkdir(parents=True, exist_ok=True)
-        (rdir / "run.cfg").write_text(rcfg.dump())
-        model = build_model(rcfg.model_config())
-        n_params = count_parameters(model)
-        log.info("-- %s (%d parameters)", label, n_params)
         try:
-            train(model, train_pairs, val_pairs, rcfg.train_config(), rdir)
-        except TrainingDiverged:
-            rows.append((label, n_params, None))
+            model, _ = _fit(rcfg, Path(args.out) / label, args.force, train_pairs, val_pairs)
+        except TrainingDiverged as exc:
+            rows.append((label, count_parameters(exc.model), None))
             continue
-        if val_pairs:
-            preds = [denoise_image(model, p.ld).grid for p in val_pairs]
-            refs = [p.nd.grid for p in val_pairs]
-            report = evaluate_pairs(preds, refs, cfg["eval.data_range"] or None)
-        else:
-            report = None
-        rows.append((label, n_params, report))
+        preds = [denoise_image(model, p.ld).grid for p in val_pairs]
+        report = _score(preds, val_pairs, rcfg) if val_pairs else None
+        rows.append((label, count_parameters(model), report))
 
     print(f"{'config':<16} {'params':>10} {'rmse_hu':>9} {'ssim':>7} {'vif':>7}")
     for label, n_params, report in rows:

@@ -7,6 +7,7 @@ fully resolved configuration so artifacts record exactly what produced them.
 
 from __future__ import annotations
 
+import dataclasses
 import difflib
 import math
 from dataclasses import dataclass
@@ -38,7 +39,10 @@ def _parse_float(text):
     return value
 
 
-# key -> (parser, default)
+# keyed by annotation text: model.py postpones annotations, so a field's type is a string
+_PARSERS = {"int": int, "float": _parse_float, "bool": _parse_bool, "str": str}
+
+# key -> (parser, default); the model.* keys are ModelConfig's fields
 SCHEMA = {
     "data.n_pairs": (int, 10),
     "data.size": (int, 64),
@@ -47,15 +51,10 @@ SCHEMA = {
     "data.i0": (_parse_float, 1e5),
     "data.dose_fraction": (_parse_float, 0.25),
     "data.seed": (int, 0),
+    **{f"model.{f.name}": (_PARSERS[f.type], f.default)
+       for f in dataclasses.fields(ModelConfig)},
+    # the desk-size network, not ModelConfig's full-size 1.0: it trains on a CPU
     "model.width": (_parse_float, 0.25),
-    "model.n_heads": (int, 4),
-    "model.ffn_mult": (int, 8),
-    "model.lrelu_slope": (_parse_float, 0.2),
-    "model.sigma": (_parse_float, 1.5),
-    "model.variant": (str, "full"),
-    "model.use_positional": (_parse_bool, False),
-    "model.pos_image_size": (int, 64),
-    "model.seed": (int, 0),
     "train.epochs": (int, 300),
     "train.batch_size": (int, 8),
     "train.lr": (_parse_float, 1e-4),
@@ -75,9 +74,6 @@ class RunConfig:
     def __getitem__(self, key):
         return self.values[key]
 
-    def get(self, key, default=None):
-        return self.values.get(key, default)
-
     def dump(self):
         lines = [f"{k} = {self.values[k]}" for k in sorted(self.values)]
         return "\n".join(lines) + "\n"
@@ -85,18 +81,8 @@ class RunConfig:
     # -- typed views --------------------------------------------------
 
     def model_config(self):
-        v = self.values
-        return ModelConfig(
-            width=v["model.width"],
-            n_heads=v["model.n_heads"],
-            ffn_mult=v["model.ffn_mult"],
-            lrelu_slope=v["model.lrelu_slope"],
-            sigma=v["model.sigma"],
-            variant=v["model.variant"],
-            use_positional=v["model.use_positional"],
-            pos_image_size=v["model.pos_image_size"],
-            seed=v["model.seed"],
-        )
+        return ModelConfig(**{k.removeprefix("model."): v
+                              for k, v in self.values.items() if k.startswith("model.")})
 
     def train_config(self):
         v = self.values

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .tensor import ShapeError
+from .tensor import NonFiniteError, ShapeError
 
 
 def _check_pair(a, b, name):
@@ -23,7 +23,7 @@ def _check_pair(a, b, name):
     if a.shape != b.shape:
         raise ShapeError(f"{name} shapes disagree: {a.shape} vs {b.shape}")
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
-        raise ValueError(f"{name}: input contains non-finite values")
+        raise NonFiniteError(f"{name}: input contains non-finite values")
     return a, b
 
 

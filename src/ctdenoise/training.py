@@ -21,6 +21,7 @@ import numpy as np
 
 from .ctsim import AIR_HU, HU, CtImage, TrainingPair
 from .freq import decompose
+from .metrics import rmse
 from .model import ModelConfig, TransCT, build_model
 from .optim import AdamState, adam_step
 from .tensor import NonFiniteError, ShapeError, Tensor, mul, no_grad, sub
@@ -132,14 +133,11 @@ def denoise_image(model, img):
 
 
 def validate(model, pairs):
-    """Mean RMSE (HU) of denoised low-dose images against normal dose."""
+    """Mean RMSE (HU) of denoised low-dose images against normal dose; a
+    non-finite image raises NonFiniteError."""
     if not pairs:
         raise ValueError("validate needs at least one pair")
-    errs = []
-    for pair in pairs:
-        out = denoise_image(model, pair.ld)
-        errs.append(float(np.sqrt(np.mean((out.grid - pair.nd.grid) ** 2))))
-    return float(np.mean(errs))
+    return float(np.mean([rmse(denoise_image(model, p.ld).grid, p.nd.grid) for p in pairs]))
 
 
 # -- checkpoints -----------------------------------------------------------

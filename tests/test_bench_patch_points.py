@@ -1,11 +1,14 @@
-"""The model stages the benchmark times.
+"""The model stages and module functions the benchmark times.
 
 ``perfbench/tracer.py`` wraps model methods through ``cls.__dict__[name]``
-to time the six stages of a forward pass, and puts every original back
-afterwards. A refactor that renames or moves one of those methods fails
-here, not only in a benchmark run.
+to time the six stages of a forward pass, and module functions by name;
+``perfbench/workloads.py`` patches a few more functions by name. Every
+original is put back afterwards. A refactor that renames or moves one of
+those methods or functions fails here, not only in a benchmark run.
 """
 
+import ast
+import importlib
 import sys
 from pathlib import Path
 
@@ -15,8 +18,9 @@ import pytest
 from ctdenoise.model import ModelConfig, build_model
 from ctdenoise.tensor import Tensor, tsum
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
-from tracer import STAGES, Tracer  # noqa: E402
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+sys.path.insert(0, str(PERFBENCH))
+from tracer import LEAF_OPS, OPAQUE, STAGES, TIMED, Tracer  # noqa: E402
 
 STAGES_OF = {
     "full": STAGES,
@@ -37,3 +41,33 @@ def test_every_stage_of_the_variant_is_timed(variant):
     assert timed == set(STAGES_OF[variant])
     assert tracer.totals["model.forward.fwd_ms"] > 0
     assert tracer.patcher.leftovers == []
+
+
+def _workload_patches():
+    """(module, function) of every ``patch_function(<module>, "<name>", ...)``
+    call in ``workloads.py``; the module is the last name of the first
+    argument, as in ``self.cd.training`` or ``ctsim``."""
+    tree = ast.parse((PERFBENCH / "workloads.py").read_text())
+    found = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "patch_function"):
+            owner, name = node.args[:2]
+            module = owner.attr if isinstance(owner, ast.Attribute) else owner.id
+            found.append((module, name.value))
+    return found
+
+
+def test_workload_patches_are_found():
+    assert {("training", "adam_step"), ("ctsim", "simulate_pair")} <= set(_workload_patches())
+
+
+@pytest.mark.parametrize(
+    "module,name",
+    [("tensor", op) for op in LEAF_OPS]
+    + [tuple(key.split(".")) for key in TIMED + OPAQUE]
+    + _workload_patches(),
+)
+def test_every_patched_function_exists(module, name):
+    mod = importlib.import_module(f"ctdenoise.{module}")
+    assert callable(getattr(mod, name, None)), f"ctdenoise.{module}.{name}"

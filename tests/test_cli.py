@@ -13,7 +13,7 @@ from conftest import MALFORMED_HEADERS, write_header_only_checkpoint
 from ctdenoise.cli import THREADS_ENV, main
 from ctdenoise.config import parse_config_text
 from ctdenoise.ctsim import load_dataset
-from ctdenoise.model import ModelConfig, build_model
+from ctdenoise.model import ModelConfig, build_model, count_parameters
 from ctdenoise.tctio import read_tensor, write_tensor
 from ctdenoise.training import save_checkpoint
 
@@ -306,6 +306,20 @@ class TestEval:
         assert "the last 0 held out by train.val_pairs, the first 3 trained on" in (
             capsys.readouterr().out)
 
+    def test_split_from_the_checkpoints_run(self, workspace, tmp_path, capsys):
+        # without --config, eval reads the run.cfg train wrote next to the checkpoint
+        cfg = tmp_path / "two.cfg"
+        cfg.write_text(SMOKE_CFG + "train.val_pairs = 2\ntrain.epochs = 1\n")
+        assert main(["train", "--config", str(cfg),
+                     "--data", str(workspace / "data"), "--out", str(tmp_path / "m")]) == 0
+        capsys.readouterr()
+        code = main(["eval", "--checkpoint", str(tmp_path / "m" / "checkpoint.tck"),
+                     "--data", str(workspace / "data")])
+        assert code == 0
+        assert capsys.readouterr().out.splitlines()[0] == (
+            "3 pairs (reference: normal dose; the last 2 held out by "
+            "train.val_pairs, the first 1 trained on)")
+
     def test_dataset_train_would_refuse(self, workspace, tmp_path, capsys):
         # one pair at the default val_pairs = 1 leaves train nothing to fit
         cfg = tmp_path / "one.cfg"
@@ -333,6 +347,25 @@ class TestAblate:
                       "full-ffn1", "full-ffn4", "full-ffn8"):
             assert label in out
             assert (tmp_path / "runs" / label / "checkpoint.tck").exists()
+
+
+    @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+    def test_diverged_runs_keep_their_params(self, workspace, tmp_path, capsys):
+        cfg = tmp_path / "hot.cfg"
+        cfg.write_text(SMOKE_CFG + "train.epochs = 2\ntrain.lr = 1e12\ntrain.clip_norm = 0\n")
+        code = main(["ablate", "--config", str(cfg),
+                     "--data", str(workspace / "data"), "--out", str(tmp_path / "runs")])
+        assert code == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        runs = {"full": ("full", 2), "no_transformer": ("no_transformer", 2),
+                "no_dual_path": ("no_dual_path", 2), "full-ffn1": ("full", 1),
+                "full-ffn4": ("full", 4), "full-ffn8": ("full", 8)}
+        assert [row.split()[0] for row in rows] == list(runs)
+        for row, (variant, mult) in zip(rows, runs.values()):
+            model = build_model(ModelConfig(width=0.0625, n_heads=2, ffn_mult=mult,
+                                            variant=variant))
+            assert row.split()[1:] == [str(count_parameters(model)), "diverged", "or", "no",
+                                       "val", "pairs"]
 
 
 class TestParser:

@@ -1,5 +1,7 @@
 """Flat ``section.key = value`` run configuration."""
 
+import dataclasses
+
 import pytest
 
 from ctdenoise.config import (
@@ -9,6 +11,7 @@ from ctdenoise.config import (
     load_run_config,
     parse_config_text,
 )
+from ctdenoise.model import ModelConfig
 
 
 class TestParsing:
@@ -98,6 +101,24 @@ class TestTypedViews:
         assert mc.width == 0.5
         assert mc.n_heads == 2
         assert mc.variant == "full"
+
+    def test_model_keys_are_the_model_config_fields(self):
+        fields = {f"model.{f.name}" for f in dataclasses.fields(ModelConfig)}
+        assert {k for k in SCHEMA if k.startswith("model.")} == fields
+        # the one default the CLI sets apart from ModelConfig: the desk-size width
+        assert load_run_config().model_config() == ModelConfig(width=0.25)
+
+    def test_every_model_key_round_trips(self, tmp_path):
+        want = ModelConfig(width=0.5, n_heads=2, ffn_mult=2, lrelu_slope=0.1, sigma=2.0,
+                           variant="no_transformer", use_positional=True,
+                           pos_image_size=32, seed=7)
+        default = ModelConfig()
+        for f in dataclasses.fields(ModelConfig):
+            assert getattr(want, f.name) != getattr(default, f.name), f.name
+        path = tmp_path / "run.cfg"
+        path.write_text("".join(f"model.{k} = {v}\n"
+                                for k, v in dataclasses.asdict(want).items()))
+        assert load_run_config(path).model_config() == want
 
     def test_train_schedule_with_drop(self):
         cfg = load_run_config(overrides={"train.epochs": 300})

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ctdenoise.metrics import MetricReport, evaluate_pairs, rmse, ssim, vif
-from ctdenoise.tensor import ShapeError
+from ctdenoise.tensor import NonFiniteError, ShapeError
 
 
 def gaussian_window_2d(n, sd):
@@ -105,6 +105,19 @@ class TestRmse:
             rmse(np.zeros((2, 2)), np.zeros((3, 3)))
         with pytest.raises(ValueError, match="non-finite"):
             rmse(np.full((2, 2), np.nan), np.zeros((2, 2)))
+
+
+@pytest.mark.parametrize("metric", [rmse, ssim, vif])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_input_is_typed(metric, bad):
+    # training turns a NonFiniteError from validation into a divergence
+    img = textured(4, 32)
+    noisy = img.copy()
+    noisy[3, 5] = bad
+    with pytest.raises(NonFiniteError, match=metric.__name__):
+        metric(noisy, img)
+    with pytest.raises(NonFiniteError, match=metric.__name__):
+        metric(img, noisy)
 
 
 class TestSsim:

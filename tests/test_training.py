@@ -438,6 +438,28 @@ class TestTrainLoop:
             train(Raising(), pairs[:2], pairs[2:], cfg, tmp_path)
         assert len(calls) == failing_call
 
+    def test_non_finite_validation_image_is_divergence(self, tmp_path):
+        # the forward pass can hand validation NaNs without raising; the
+        # RMSE of that image stops the run instead of logging a nan
+        model = build_model(ModelConfig(**TINY))
+        calls = []
+
+        class NanOnValidation:
+            config = model.config
+            parameters = model.parameters
+            zero_grad = model.zero_grad
+
+            def __call__(self, x_low, x_high):
+                calls.append(None)
+                out = model(x_low, x_high)
+                return out if len(calls) == 1 else Tensor(np.full(out.shape, np.nan, np.float32))
+
+        pairs = tiny_pairs(3)
+        cfg = TrainConfig(epochs=2, batch_size=2, seed=0)
+        with pytest.raises(TrainingDiverged, match="during validation at epoch 0"):
+            train(NanOnValidation(), pairs[:2], pairs[2:], cfg, tmp_path)
+        assert not (tmp_path / "checkpoint.tck").exists()
+
     def test_patch_size_validation(self, tmp_path):
         model = build_model(ModelConfig(**TINY))
         img = CtImage(np.zeros((48, 48), dtype=np.float32), HU)
