@@ -52,9 +52,6 @@ def _resolve_config(args, fallback=None):
     seed = getattr(args, "seed", None)
     if seed is not None:
         overrides.update({"data.seed": seed, "model.seed": seed, "train.seed": seed})
-    variant = getattr(args, "variant", None)
-    if variant is not None:
-        overrides["model.variant"] = variant
     return load_run_config(getattr(args, "config", None) or fallback, overrides)
 
 
@@ -255,7 +252,6 @@ def build_parser():
     p = sub.add_parser("train", parents=[shared], help="train a denoiser")
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--variant", choices=VARIANTS)
     p.add_argument("--force", action="store_true")
     p.set_defaults(func=cmd_train)
 

@@ -566,8 +566,7 @@ def _clamp_hu(img):
     return CtImage(np.maximum(img.grid, AIR_HU).astype(np.float32), HU, img.pixel_spacing_mm)
 
 
-def simulate_pair(seed, pair_index, size, dose, geom=None, n_ellipses=6,
-                  mu_water=MU_WATER_60KEV, window="ramlak"):
+def simulate_pair(seed, pair_index, size, dose, geom=None, n_ellipses=6):
     """One (LDCT, NDCT) pair. The per-pair RNG streams depend only on
     (seed, pair_index), so serial and parallel generation agree."""
     geom = geom or default_geometry(size)
@@ -575,17 +574,16 @@ def simulate_pair(seed, pair_index, size, dose, geom=None, n_ellipses=6,
         raise ValueError(f"size {size} does not match geom.image_size {geom.image_size}")
     phantom = make_phantom([seed, pair_index, 0], size, n_ellipses,
                            geom.pixel_spacing_mm)
-    sino = forward_project(hu_to_mu(phantom, mu_water), geom)
+    sino = forward_project(hu_to_mu(phantom), geom)
     noise_seed = [seed, pair_index, 1]
     nd_sino = insert_poisson_noise(sino, replace(dose, dose_fraction=1.0, seed=noise_seed))
     ld_sino = insert_poisson_noise(sino, replace(dose, seed=noise_seed))
-    nd, ld = (_clamp_hu(mu_to_hu(img, mu_water))
-              for img in _fbp_pair(nd_sino, ld_sino, geom, window))
+    nd, ld = (_clamp_hu(mu_to_hu(img))
+              for img in _fbp_pair(nd_sino, ld_sino, geom, "ramlak"))
     return TrainingPair(ld=ld, nd=nd), phantom
 
 
-def make_dataset(n_pairs, size, dose, seed, geom=None, n_ellipses=6,
-                 mu_water=MU_WATER_60KEV, workers=1):
+def make_dataset(n_pairs, size, dose, seed, geom=None, n_ellipses=6, workers=1):
     """Generate aligned LDCT/NDCT pairs, ``workers`` pairs at a time. Each
     pair still projects and backprojects on ``_run``'s threads; the bits
     are the same for any ``workers``."""
@@ -596,7 +594,7 @@ def make_dataset(n_pairs, size, dose, seed, geom=None, n_ellipses=6,
     geom = geom or default_geometry(size)
 
     def build(i):
-        pair, _ = simulate_pair(seed, i, size, dose, geom, n_ellipses, mu_water)
+        pair, _ = simulate_pair(seed, i, size, dose, geom, n_ellipses)
         return pair
 
     if workers > 1:

@@ -50,8 +50,8 @@ def _filter_valid(img, kernel):
     return sliding_window_view(rows, n, axis=0) @ kernel
 
 
-def ssim(pred, ref, data_range=None, k1=0.01, k2=0.03):
-    """Mean structural similarity over the valid interior.
+def ssim(pred, ref, data_range=None):
+    """Mean structural similarity (k1 = 0.01, k2 = 0.03) over the valid interior.
 
     ``data_range`` defaults to the reference image's max minus min.
     """
@@ -61,8 +61,8 @@ def ssim(pred, ref, data_range=None, k1=0.01, k2=0.03):
     if data_range <= 0:
         raise ValueError(f"data_range must be positive, got {data_range}")
     win = _gaussian_window(11, 1.5)
-    c1 = (k1 * data_range) ** 2
-    c2 = (k2 * data_range) ** 2
+    c1 = (0.01 * data_range) ** 2
+    c2 = (0.03 * data_range) ** 2
 
     mu1 = _filter_valid(pred, win)
     mu2 = _filter_valid(ref, win)
@@ -75,7 +75,7 @@ def ssim(pred, ref, data_range=None, k1=0.01, k2=0.03):
     return float(np.mean(num / den))
 
 
-def vif(pred, ref, sigma_noise_sq=2.0):
+def vif(pred, ref):
     """Pixel-domain visual information fidelity over four dyadic scales.
 
     ``ref`` is the uncorrupted reference, ``pred`` the image under test.
@@ -83,7 +83,7 @@ def vif(pred, ref, sigma_noise_sq=2.0):
     more apparent information than the reference.
     """
     dist, ref = _check_pair(pred, ref, "vif")
-    eps = 1e-10
+    eps, sigma_noise_sq = 1e-10, 2.0
     num = 0.0
     den = 0.0
     for scale in range(1, 5):

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .freq import DEFAULT_SIGMA
 from .optim import xavier_init
 from .tensor import (
     ShapeError,
@@ -38,6 +39,7 @@ VARIANTS = ("full", "no_transformer", "no_dual_path")
 
 HF_FOLD = 16  # space-to-depth factor on the high band
 N_STAGES = 3  # encoder and decoder depth
+INPUT_MULTIPLE = 32  # of input H and W, for the 16-fold high band and 32x texture path
 
 
 @dataclass(frozen=True)
@@ -46,7 +48,7 @@ class ModelConfig:
     n_heads: int = 4
     ffn_mult: int = 8
     lrelu_slope: float = 0.2
-    sigma: float = 1.5
+    sigma: float = DEFAULT_SIGMA
     variant: str = "full"
     use_positional: bool = False
     pos_image_size: int = 64
@@ -75,8 +77,8 @@ class ModelConfig:
             raise ValueError(f"lrelu_slope must lie in (0,1), got {self.lrelu_slope}")
         if self.sigma <= 0:
             raise ValueError(f"sigma must be positive, got {self.sigma}")
-        if self.use_positional and self.pos_image_size % 32 != 0:
-            raise ValueError("pos_image_size must be a multiple of 32")
+        if self.use_positional and self.pos_image_size % INPUT_MULTIPLE != 0:
+            raise ValueError(f"pos_image_size must be a multiple of {INPUT_MULTIPLE}")
 
     def channels(self, base):
         return int(round(base * self.width))
@@ -246,8 +248,6 @@ class TransCT(Module):
     one of the reduced forms used for ablation."""
 
     def __init__(self, config):
-        if not isinstance(config, ModelConfig):
-            config = ModelConfig(**config)
         self.config = config
         rng = np.random.default_rng(config.seed)
         c64 = config.channels(64)
@@ -308,11 +308,11 @@ class TransCT(Module):
     # -- forward ----------------------------------------------------------
 
     def __call__(self, x_low, x_high, trace=None):
-        """Both inputs are (B, 1, H, W) tensors with H, W multiples of 32,
-        and ``pos_image_size`` square for a model with positional
-        embeddings; returns the denoised (B, 1, H, W) image. ``trace`` (a
-        dict), when given, receives the intermediate shapes and the number
-        of encoder-memory reads."""
+        """Both inputs are (B, 1, H, W) tensors with H, W multiples of
+        ``INPUT_MULTIPLE``, and ``pos_image_size`` square for a model with
+        positional embeddings; returns the denoised (B, 1, H, W) image.
+        ``trace`` (a dict), when given, receives the intermediate shapes
+        and the number of encoder-memory reads."""
         self._check_inputs(x_low, x_high)
         variant = self.config.variant
         # no_dual_path sums the bands back together into one column
@@ -357,10 +357,10 @@ class TransCT(Module):
                 f"band shapes disagree: {x_low.shape} vs {x_high.shape}"
             )
         H, W = x_low.shape[2], x_low.shape[3]
-        if H % 32 or W % 32:
+        if H % INPUT_MULTIPLE or W % INPUT_MULTIPLE:
             raise ShapeError(
-                f"spatial extents must be multiples of 32 for the 16-fold "
-                f"high band and the 32x texture downsampling, got {H}x{W}"
+                f"spatial extents must be multiples of {INPUT_MULTIPLE} for the "
+                f"16-fold high band and the 32x texture downsampling, got {H}x{W}"
             )
         s = self.config.pos_image_size
         if hasattr(self, "pos_enc") and (H, W) != (s, s):
@@ -392,5 +392,5 @@ class TransCT(Module):
 
 
 def build_model(config):
-    """Construct the network for a ModelConfig (or a kwargs mapping)."""
+    """Construct the network for a ModelConfig."""
     return TransCT(config)

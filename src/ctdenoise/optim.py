@@ -9,14 +9,14 @@ import numpy as np
 from .tensor import ShapeError, Tensor
 
 
-def xavier_init(shape, seed, dtype=np.float32):
+def xavier_init(shape, seed):
     """Uniform Xavier/Glorot sample on +-sqrt(6 / (fan_in + fan_out)).
 
     Fans come from the first two extents times the receptive-field size
     (product of any trailing extents), so conv kernels (Cout, Cin, k, k)
     and linear weights (c_in, c_out) are both covered. ``seed`` may be an
     int or an existing ``numpy.random.Generator``. Returns a trainable
-    leaf tensor.
+    float32 leaf tensor.
     """
     shape = tuple(int(s) for s in shape)
     if len(shape) < 2:
@@ -25,7 +25,7 @@ def xavier_init(shape, seed, dtype=np.float32):
     fan_sum = (shape[0] + shape[1]) * receptive
     bound = float(np.sqrt(6.0 / fan_sum))
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    return Tensor(rng.uniform(-bound, bound, size=shape).astype(dtype), requires_grad=True)
+    return Tensor(rng.uniform(-bound, bound, size=shape).astype(np.float32), requires_grad=True)
 
 
 @dataclass
@@ -43,8 +43,9 @@ class AdamState:
         return cls(m=m, v=v, t=0)
 
 
-def adam_step(params, grads, state, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+def adam_step(params, grads, state, lr):
     """One bias-corrected Adam update, in place on the parameter data."""
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
     params = list(params)
     grads = list(grads)
     if len(params) != len(grads) or len(params) != len(state.m):

@@ -29,9 +29,7 @@ class NonFiniteError(ValueError):
     """An operation met NaN or infinite input it cannot handle."""
 
 
-def _as_array(data, dtype):
-    if dtype is not None:
-        return np.ascontiguousarray(data, dtype=dtype)
+def _as_array(data):
     if isinstance(data, np.ndarray) and data.dtype in _FLOAT_DTYPES:
         return np.ascontiguousarray(data)
     # lists, scalars and integer arrays default to float32
@@ -51,8 +49,8 @@ class Tensor:
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
-    def __init__(self, data, requires_grad=False, dtype=None):
-        self.data = _as_array(data, dtype)
+    def __init__(self, data, requires_grad=False):
+        self.data = _as_array(data)
         self.requires_grad = bool(requires_grad)
         self.grad = None
         self._parents = ()

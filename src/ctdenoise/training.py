@@ -22,7 +22,7 @@ import numpy as np
 from .ctsim import AIR_HU, HU, CtImage, TrainingPair
 from .freq import decompose
 from .metrics import rmse
-from .model import ModelConfig, TransCT, build_model
+from .model import INPUT_MULTIPLE, ModelConfig, build_model
 from .optim import AdamState, adam_step
 from .tensor import NonFiniteError, ShapeError, Tensor, mul, no_grad, sub
 from .tctio import TensorFormatError, tensor_from_bytes, tensor_to_bytes
@@ -34,7 +34,7 @@ CHECKPOINT_MAGIC = b"TCK1"
 
 class TrainingDiverged(RuntimeError):
     """Raised when the loss goes non-finite; the last epoch checkpoint on
-    disk predates the divergence."""
+    disk, if the run wrote one, predates the divergence."""
 
 
 class CheckpointError(ValueError):
@@ -111,8 +111,8 @@ def _pad_to_multiple(grid, multiple):
 
 def denoise_image(model, img):
     """Run the full path on one HU image: convert to relative attenuation,
-    pad to a multiple of 32 (reflected), band-split, denoise, crop, and
-    convert back to HU (floored at air).
+    pad to a multiple of ``INPUT_MULTIPLE`` (reflected), band-split,
+    denoise, crop, and convert back to HU (floored at air).
 
     The model runs under ``no_grad()``: no autograd graph is built, so
     each im2col buffer is freed once its op is done, and attention holds
@@ -122,7 +122,7 @@ def denoise_image(model, img):
     if img.unit != HU:
         raise ValueError(f"denoise_image expects a HU image, got {img.unit!r}")
     rel = _hu_to_rel(img.grid)
-    padded, (H, W) = _pad_to_multiple(rel, 32)
+    padded, (H, W) = _pad_to_multiple(rel, INPUT_MULTIPLE)
     bands = decompose(padded, model.config.sigma)
     x_low = Tensor(bands.low.data[None, None])
     x_high = Tensor(bands.high.data[None, None])
@@ -273,12 +273,21 @@ def _prepare(pairs, sigma):
     return stack(lows), stack(highs), stack(targets)
 
 
+def _diverged(what, epoch, ckpt_path):
+    """TrainingDiverged for non-finite ``what`` in ``epoch``; each earlier
+    epoch of this run wrote ``ckpt_path``."""
+    kept = (f"the epoch-{epoch - 1} checkpoint is kept at {ckpt_path}" if epoch
+            else "this run wrote no checkpoint")
+    return TrainingDiverged(f"non-finite {what} epoch {epoch}; {kept}")
+
+
 def train(model, pairs, val_pairs, cfg, out_dir):
     """Run the optimization loop.
 
     Writes ``checkpoint.tck`` and ``history.csv`` under ``out_dir`` after
     every epoch. A non-finite loss raises TrainingDiverged and leaves the
-    previous epoch's checkpoint in place.
+    previous epoch's checkpoint in place; at epoch 0 no checkpoint is
+    written.
     """
     if not pairs:
         raise ValueError("train needs at least one pair")
@@ -287,8 +296,9 @@ def train(model, pairs, val_pairs, cfg, out_dir):
     hist_path = os.path.join(out_dir, "history.csv")
 
     H, W = pairs[0].ld.grid.shape
-    if H % 32 or W % 32:
-        raise ShapeError(f"training patches must be multiples of 32, got {H}x{W}")
+    if H % INPUT_MULTIPLE or W % INPUT_MULTIPLE:
+        raise ShapeError(
+            f"training patches must be multiples of {INPUT_MULTIPLE}, got {H}x{W}")
 
     lows, highs, targets = _prepare(pairs, model.config.sigma)
     params = model.parameters()
@@ -321,10 +331,7 @@ def train(model, pairs, val_pairs, cfg, out_dir):
                 # before the loss itself ever goes non-finite
                 value = float("nan")
             if not np.isfinite(value):
-                raise TrainingDiverged(
-                    f"non-finite loss at epoch {epoch}; last checkpoint kept at "
-                    f"{ckpt_path}"
-                )
+                raise _diverged("loss at", epoch, ckpt_path)
             model.zero_grad()
             loss.backward()
             grads = [p.grad for p in params]
@@ -341,10 +348,7 @@ def train(model, pairs, val_pairs, cfg, out_dir):
         try:
             final_val = validate(model, val_pairs) if val_pairs else float("nan")
         except NonFiniteError:
-            raise TrainingDiverged(
-                f"non-finite activations during validation at epoch {epoch}; "
-                f"last checkpoint kept at {ckpt_path}"
-            ) from None
+            raise _diverged("activations during validation at", epoch, ckpt_path) from None
         seconds = time.perf_counter() - t0
         row = {
             "epoch": epoch,
@@ -359,10 +363,7 @@ def train(model, pairs, val_pairs, cfg, out_dir):
                 [epoch, f"{lr:g}", f"{final_mse:.8e}", f"{final_val:.4f}", f"{seconds:.2f}"]
             )
         if any(not np.isfinite(p.data).all() for p in params):
-            raise TrainingDiverged(
-                f"non-finite parameters after epoch {epoch}; last checkpoint "
-                f"kept at {ckpt_path}"
-            )
+            raise _diverged("parameters after", epoch, ckpt_path)
         save_checkpoint(model, ckpt_path, epoch)
         log.info(
             "epoch %d lr %g train_mse %.3e val_rmse %.2f HU (%.1fs)",

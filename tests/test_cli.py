@@ -184,6 +184,15 @@ class TestTrain:
         assert code == 2
         assert "val_pairs" in capsys.readouterr().err
 
+    def test_negative_val_pairs(self, workspace, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(SMOKE_CFG + "train.val_pairs = -1\n")
+        code = main(["train", "--config", str(cfg),
+                     "--data", str(workspace / "data"), "--out", str(tmp_path / "m")])
+        assert code == 2
+        assert "train.val_pairs must be >= 0, got -1" in capsys.readouterr().err
+        assert not (tmp_path / "m").exists()
+
     @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
     def test_divergence_exit_code(self, workspace, tmp_path, capsys):
         cfg = tmp_path / "hot.cfg"
@@ -373,6 +382,12 @@ class TestParser:
         with pytest.raises(SystemExit) as err:
             main(["transmogrify"])
         assert err.value.code == 2
+
+    def test_train_takes_the_variant_from_the_config_only(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["train", "--data", "d", "--out", "o", "--variant", "no_transformer"])
+        assert err.value.code == 2
+        assert "--variant" in capsys.readouterr().err
 
     def test_missing_required_argument(self):
         with pytest.raises(SystemExit) as err:

@@ -734,6 +734,13 @@ class TestDataset:
         with pytest.raises(FileNotFoundError, match="manifest"):
             load_dataset(tmp_path)
 
+    def test_manifest_skips_blank_and_comment_lines(self, tmp_path):
+        (tmp_path / "manifest").write_text(
+            "# written by hand\n\n  data.seed = 4\n   \n  # geom.pixel_spacing_mm = 9\n"
+            "geom.pixel_spacing_mm = 0.5\n")
+        assert ctsim.load_manifest(tmp_path / "manifest") == {
+            "data.seed": "4", "geom.pixel_spacing_mm": "0.5"}
+
     @pytest.mark.parametrize("stray", ["notes", ".DS_Store"])
     def test_stray_pair_entry_named(self, tmp_path, stray):
         pairs = make_dataset(1, 64, DoseConfig(), seed=0, geom=default_geometry(64, n_views=30))

@@ -109,6 +109,19 @@ class TestErrors:
         with pytest.raises(TensorFormatError, match="dtype tag 9"):
             tensor_from_bytes(buf)
 
+    def test_truncated_after_magic(self):
+        with pytest.raises(TensorFormatError, match="truncated header at byte 4"):
+            tensor_from_bytes(b"TCT1")
+
+    def test_truncated_dtype_tag(self):
+        buf = b"TCT1" + bytes([1]) + (2).to_bytes(4, "little")
+        with pytest.raises(TensorFormatError, match="truncated dtype tag at byte 9"):
+            tensor_from_bytes(buf)
+
+    def test_rank_just_over_limit(self):
+        with pytest.raises(TensorFormatError, match="implausible rank 9 at byte 4"):
+            tensor_from_bytes(b"TCT1" + bytes([9]) + bytes(4 * 9 + 1))
+
     def test_implausible_rank(self):
         buf = b"TCT1" + bytes([200])
         with pytest.raises(TensorFormatError, match="rank 200"):
@@ -123,6 +136,11 @@ class TestErrors:
     def test_rejects_non_float_dtype(self):
         with pytest.raises(TypeError):
             tensor_to_bytes(np.zeros(3, dtype=np.int32))
+
+    def test_rank_8_round_trips_and_9_is_refused(self):
+        with pytest.raises(ValueError, match="rank limit is 8, got 9"):
+            tensor_to_bytes(np.zeros((1,) * 9, dtype=np.float32))
+        assert tensor_from_bytes(tensor_to_bytes(np.zeros((1,) * 8)))[0].shape == (1,) * 8
 
     def test_rejects_rank_over_limit(self):
         with pytest.raises(ValueError):

@@ -117,6 +117,12 @@ class TestElementwise:
         with pytest.raises(ShapeError):
             add(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 4))))
 
+    @pytest.mark.parametrize("op", [sub, mul], ids=["sub", "mul"])
+    def test_incompatible_broadcast_names_op_and_shapes(self, op):
+        with pytest.raises(ShapeError,
+                           match=rf"{op.__name__}: cannot broadcast \(2, 3\) with \(2, 4\)"):
+            op(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 4))))
+
     def test_scalar_sugar(self):
         t = Tensor(np.array([1.0, -2.0]))
         assert np.allclose((2.0 * t + 1.0).data, [3.0, -3.0])
@@ -394,6 +400,15 @@ class TestConv2d:
         with pytest.raises(ShapeError):  # 3-d input
             conv2d(Tensor(np.zeros((2, 4, 4))), Tensor(np.zeros((3, 2, 3, 3))), b)
 
+    def test_bias_shape_and_stride_errors(self):
+        x = Tensor(np.zeros((1, 2, 4, 4)))
+        w = Tensor(np.zeros((3, 2, 3, 3)))
+        with pytest.raises(ShapeError, match=r"bias must have shape \(3,\), got \(4,\)"):
+            conv2d(x, w, Tensor(np.zeros(4)))
+        for stride in (0, 1.0):
+            with pytest.raises(ValueError, match="stride must be a positive int"):
+                conv2d(x, w, Tensor(np.zeros(3)), stride=stride)
+
     def test_channel_mismatch_message_names_shapes(self):
         with pytest.raises(ShapeError, match=r"(1, 2, 4, 4).*(3, 5, 3, 3)"):
             conv2d(
@@ -428,6 +443,12 @@ class TestPixelShuffle:
             pixel_shuffle(Tensor(np.zeros((1, 7, 2, 2))), 2)
         with pytest.raises(ShapeError, match="5"):
             pixel_unshuffle(Tensor(np.zeros((1, 1, 5, 4))), 2)
+
+    def test_rank_errors(self):
+        with pytest.raises(ShapeError, match=r"pixel_shuffle needs a 4-d tensor, got \(4, 2, 2\)"):
+            pixel_shuffle(Tensor(np.zeros((4, 2, 2))), 2)
+        with pytest.raises(ShapeError, match=r"pixel_unshuffle needs a 4-d tensor, got \(1, 4, 4\)"):
+            pixel_unshuffle(Tensor(np.zeros((1, 4, 4))), 2)
 
 
 class TestTensorBasics:

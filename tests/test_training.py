@@ -324,6 +324,21 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match=f"missing parameter {dropped}"):
             load_checkpoint_into(model, path)
 
+    def test_truncated_header(self, tmp_path):
+        path = tmp_path / "model.tck"
+        path.write_bytes(CHECKPOINT_MAGIC + b"\x10\x00")
+        with pytest.raises(CheckpointError, match="truncated checkpoint header"):
+            load_checkpoint(path)
+
+    def test_misshapen_parameter(self, tmp_path):
+        path = tmp_path / "model.tck"
+        model = build_model(ModelConfig(**TINY))
+        model.trunk1.conv.bias.data = np.zeros(3, dtype=np.float32)
+        save_checkpoint(model, path, epoch=0)
+        with pytest.raises(CheckpointError, match=r"trunk1\.conv\.bias has shape \(3,\), "
+                                                  r"expected \(4,\)"):
+            load_checkpoint(path)
+
 
 class TestTrainLoop:
     def test_zero_lr_is_null_update(self, tmp_path):
@@ -459,6 +474,39 @@ class TestTrainLoop:
         with pytest.raises(TrainingDiverged, match="during validation at epoch 0"):
             train(NanOnValidation(), pairs[:2], pairs[2:], cfg, tmp_path)
         assert not (tmp_path / "checkpoint.tck").exists()
+
+    @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+    def test_non_finite_parameters_after_epoch(self, tmp_path):
+        # a finite loss, then an update that overflows every weight
+        model = build_model(ModelConfig(**TINY))
+        cfg = TrainConfig(epochs=2, batch_size=2, clip_norm=0.0, lr_schedule=((0, 1e39),))
+        with pytest.raises(TrainingDiverged,
+                           match="non-finite parameters after epoch 0; this run wrote no "
+                                 "checkpoint"):
+            train(model, tiny_pairs(2), [], cfg, tmp_path)
+        assert not (tmp_path / "checkpoint.tck").exists()
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_divergence_at_epoch_0_names_no_checkpoint(self, tmp_path):
+        # a checkpoint left by an earlier run in out_dir is not this run's
+        save_checkpoint(build_model(ModelConfig(**TINY)), tmp_path / "checkpoint.tck", 9)
+        model = build_model(ModelConfig(**TINY))
+        model.encoders[0].attn.wq.bias.data[:] = 1e20
+        model.encoders[0].attn.wk.bias.data[:] = 1e20
+        with pytest.raises(TrainingDiverged) as err:
+            train(model, tiny_pairs(2), [], TrainConfig(epochs=1, batch_size=2), tmp_path)
+        assert str(err.value) == "non-finite loss at epoch 0; this run wrote no checkpoint"
+
+    @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+    def test_divergence_names_the_checkpoint_it_kept(self, tmp_path):
+        model = build_model(ModelConfig(**TINY))
+        cfg = TrainConfig(epochs=5, batch_size=2, clip_norm=0.0,
+                          lr_schedule=((0, 1e-4), (1, 1e12)), seed=0)
+        with pytest.raises(TrainingDiverged) as err:
+            train(model, tiny_pairs(2), [], cfg, tmp_path)
+        ckpt = tmp_path / "checkpoint.tck"
+        _, epoch = load_checkpoint(ckpt)
+        assert str(err.value).endswith(f"; the epoch-{epoch} checkpoint is kept at {ckpt}")
 
     def test_patch_size_validation(self, tmp_path):
         model = build_model(ModelConfig(**TINY))
