@@ -2,8 +2,9 @@
 
 Subcommands cover the whole pipeline: simulate a paired-dose dataset,
 inspect the band split, train (including ablation variants), denoise a
-single image, and score results. Exit codes: 0 success, 1 runtime failure,
-2 bad usage or configuration, 3 training divergence.
+single image, and score results. Exit codes: 0 success, 1 runtime failure
+or a config value a dataclass rejects, 2 bad usage or config text that does
+not parse, 3 training divergence.
 """
 
 from __future__ import annotations
@@ -118,20 +119,16 @@ def _split_pairs(pairs, val_n):
     return pairs[:-val_n], pairs[-val_n:]
 
 
-def _fit(cfg, out, force, train_pairs, val_pairs):
-    """Train one run into ``out`` (overwrite guard, ``run.cfg``, build, train).
-    Returns (model, TrainResult); TrainingDiverged carries ``exc.model``."""
+def _fit(model, cfg, out, force, train_pairs, val_pairs):
+    """Train ``model``, built from ``cfg``, into ``out`` (overwrite guard,
+    ``run.cfg``, train). Returns the TrainResult."""
+    train_cfg = cfg.train_config()
     if (out / "checkpoint.tck").exists() and not force:
         raise FileExistsError(f"{out} already holds a checkpoint; pass --force to overwrite")
     out.mkdir(parents=True, exist_ok=True)
     (out / "run.cfg").write_text(cfg.dump())
-    model = build_model(cfg.model_config())
     log.info("-- %s (%d parameters)", out, count_parameters(model))
-    try:
-        return model, train(model, train_pairs, val_pairs, cfg.train_config(), out)
-    except TrainingDiverged as exc:
-        exc.model = model
-        raise
+    return train(model, train_pairs, val_pairs, train_cfg, out)
 
 
 def _score(images, pairs, cfg):
@@ -144,7 +141,8 @@ def cmd_train(args):
     cfg = _resolve_config(args)
     pairs, _ = load_dataset(args.data)
     train_pairs, val_pairs = _split_pairs(pairs, cfg["train.val_pairs"])
-    _, result = _fit(cfg, Path(args.out), args.force, train_pairs, val_pairs)
+    model = build_model(cfg.model_config())
+    result = _fit(model, cfg, Path(args.out), args.force, train_pairs, val_pairs)
     print(
         f"trained {cfg['model.variant']} for {result.epochs_run} epochs: "
         f"train mse {result.final_train_mse:.3e}, val rmse {result.final_val_rmse:.2f} HU"
@@ -204,10 +202,11 @@ def cmd_ablate(args):
     rows = []
     for label, overrides in runs:
         rcfg = RunConfig({**cfg.values, **overrides})
+        model = build_model(rcfg.model_config())
         try:
-            model, _ = _fit(rcfg, Path(args.out) / label, args.force, train_pairs, val_pairs)
-        except TrainingDiverged as exc:
-            rows.append((label, count_parameters(exc.model), None))
+            _fit(model, rcfg, Path(args.out) / label, args.force, train_pairs, val_pairs)
+        except TrainingDiverged:
+            rows.append((label, count_parameters(model), None))
             continue
         preds = [denoise_image(model, p.ld).grid for p in val_pairs]
         report = _score(preds, val_pairs, rcfg) if val_pairs else None

@@ -16,14 +16,19 @@ from .tensor import ShapeError, Tensor
 DEFAULT_SIGMA = 1.5
 
 
+def gaussian_window(n, sd):
+    """``n`` normalized 1-d Gaussian taps of standard deviation ``sd``,
+    centred on the middle tap."""
+    x = np.arange(n, dtype=np.float64) - (n - 1) / 2.0
+    k = np.exp(-0.5 * (x / sd) ** 2)
+    return k / k.sum()
+
+
 def gaussian_kernel(sigma):
     """Normalized 1-d Gaussian taps with radius ceil(4*sigma)."""
     if sigma <= 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
-    radius = int(np.ceil(4.0 * sigma))
-    x = np.arange(-radius, radius + 1, dtype=np.float64)
-    k = np.exp(-0.5 * (x / sigma) ** 2)
-    return k / k.sum()
+    return gaussian_window(2 * int(np.ceil(4.0 * sigma)) + 1, sigma)
 
 
 def _correlate_along(arr, kernel, axis):

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .freq import gaussian_window
 from .tensor import NonFiniteError, ShapeError
 
 
@@ -33,12 +34,6 @@ def rmse(pred, ref):
     return float(np.sqrt(np.mean((pred - ref) ** 2)))
 
 
-def _gaussian_window(n, sd):
-    x = np.arange(n, dtype=np.float64) - (n - 1) / 2.0
-    k = np.exp(-0.5 * (x / sd) ** 2)
-    return k / k.sum()
-
-
 def _filter_valid(img, kernel):
     """Separable valid-mode correlation with a 1-d kernel along both axes."""
     n = len(kernel)
@@ -48,6 +43,17 @@ def _filter_valid(img, kernel):
         )
     rows = sliding_window_view(img, n, axis=1) @ kernel
     return sliding_window_view(rows, n, axis=0) @ kernel
+
+
+def _moments(a, b, win):
+    """Local means, variances and covariance of ``a`` and ``b`` under the
+    window ``win``: (mu_a, mu_b, var_a, var_b, cov)."""
+    mu_a = _filter_valid(a, win)
+    mu_b = _filter_valid(b, win)
+    var_a = _filter_valid(a * a, win) - mu_a * mu_a
+    var_b = _filter_valid(b * b, win) - mu_b * mu_b
+    cov = _filter_valid(a * b, win) - mu_a * mu_b
+    return mu_a, mu_b, var_a, var_b, cov
 
 
 def ssim(pred, ref, data_range=None):
@@ -60,16 +66,9 @@ def ssim(pred, ref, data_range=None):
         data_range = float(ref.max() - ref.min())
     if data_range <= 0:
         raise ValueError(f"data_range must be positive, got {data_range}")
-    win = _gaussian_window(11, 1.5)
     c1 = (0.01 * data_range) ** 2
     c2 = (0.03 * data_range) ** 2
-
-    mu1 = _filter_valid(pred, win)
-    mu2 = _filter_valid(ref, win)
-    s11 = _filter_valid(pred * pred, win) - mu1 * mu1
-    s22 = _filter_valid(ref * ref, win) - mu2 * mu2
-    s12 = _filter_valid(pred * ref, win) - mu1 * mu2
-
+    mu1, mu2, s11, s22, s12 = _moments(pred, ref, gaussian_window(11, 1.5))
     num = (2 * mu1 * mu2 + c1) * (2 * s12 + c2)
     den = (mu1 * mu1 + mu2 * mu2 + c1) * (s11 + s22 + c2)
     return float(np.mean(num / den))
@@ -88,15 +87,13 @@ def vif(pred, ref):
     den = 0.0
     for scale in range(1, 5):
         n = 2 ** (4 - scale + 1) + 1
-        win = _gaussian_window(n, n / 5.0)
+        win = gaussian_window(n, n / 5.0)
         if scale > 1:
             ref = _filter_valid(ref, win)[::2, ::2]
             dist = _filter_valid(dist, win)[::2, ::2]
-        mu1 = _filter_valid(ref, win)
-        mu2 = _filter_valid(dist, win)
-        s11 = np.maximum(_filter_valid(ref * ref, win) - mu1 * mu1, 0.0)
-        s22 = np.maximum(_filter_valid(dist * dist, win) - mu2 * mu2, 0.0)
-        s12 = _filter_valid(ref * dist, win) - mu1 * mu2
+        _, _, s11, s22, s12 = _moments(ref, dist, win)
+        np.maximum(s11, 0.0, out=s11)
+        np.maximum(s22, 0.0, out=s22)
 
         g = s12 / (s11 + eps)
         sv = s22 - g * s12

@@ -77,8 +77,10 @@ class ModelConfig:
             raise ValueError(f"lrelu_slope must lie in (0,1), got {self.lrelu_slope}")
         if self.sigma <= 0:
             raise ValueError(f"sigma must be positive, got {self.sigma}")
-        if self.use_positional and self.pos_image_size % INPUT_MULTIPLE != 0:
-            raise ValueError(f"pos_image_size must be a multiple of {INPUT_MULTIPLE}")
+        if self.use_positional and (self.pos_image_size < 1
+                                    or self.pos_image_size % INPUT_MULTIPLE):
+            raise ValueError(f"pos_image_size must be a positive multiple of {INPUT_MULTIPLE}, "
+                             f"got {self.pos_image_size}")
 
     def channels(self, base):
         return int(round(base * self.width))
@@ -273,23 +275,19 @@ class TransCT(Module):
             self.hf2 = ConvAct(c256, c256, rng, slope=slope)
             self.hf3 = ConvAct(c256, c256, rng, slope=slope)
 
-        if variant == "full":
-            self.encoders = [
-                EncoderLayer(c256, config.n_heads, config.ffn_mult, rng, slope)
-                for _ in range(N_STAGES)
-            ]
-            self.decoders = [
-                DecoderLayer(c256, config.n_heads, config.ffn_mult, rng, slope)
-                for _ in range(N_STAGES)
-            ]
-        elif variant == "no_transformer":
+        if variant == "no_transformer":
             self.fuse = ConvAct(c256 + c128, c256, rng, slope=slope)
             self.fuse_blocks = [ResBlock(c256, c256, rng, slope) for _ in range(N_STAGES)]
-        else:  # no_dual_path: encoders only, fed by the content column
+        else:  # no_dual_path has encoders only, fed by the content column
             self.encoders = [
                 EncoderLayer(c256, config.n_heads, config.ffn_mult, rng, slope)
                 for _ in range(N_STAGES)
             ]
+            if variant == "full":
+                self.decoders = [
+                    DecoderLayer(c256, config.n_heads, config.ffn_mult, rng, slope)
+                    for _ in range(N_STAGES)
+                ]
 
         # reconstruction: two pixel-shuffle stages with content skips; the
         # second block always emits 64 channels so that the final r=8

@@ -38,7 +38,8 @@ class TrainingDiverged(RuntimeError):
 
 
 class CheckpointError(ValueError):
-    """A checkpoint file failed to parse or disagrees with the model."""
+    """A checkpoint file failed to parse or does not fit the model its
+    config describes."""
 
 
 @dataclass
@@ -164,8 +165,14 @@ def save_checkpoint(model, path, epoch):
     os.replace(tmp, path)
 
 
-def _read_checkpoint(path):
-    raw = open(path, "rb").read()
+def load_checkpoint(path):
+    """Rebuild the model a checkpoint describes from the config it stores
+    and assign its parameters, once every check has passed. Bytes after
+    the last named tensor are an error, reported after a missing or
+    misshapen parameter so that a header which lost a name says so.
+    Returns (model, epoch)."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
     if raw[:4] != CHECKPOINT_MAGIC:
         raise CheckpointError(f"{path}: bad checkpoint magic {raw[:4]!r}")
     if len(raw) < 8:
@@ -175,21 +182,6 @@ def _read_checkpoint(path):
         header = json.loads(raw[8 : 8 + hlen].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"{path}: unreadable checkpoint header: {exc}") from None
-    _check_header(path, header)
-    offset = 8 + hlen
-    arrays = {}
-    try:
-        for name in header["names"]:
-            arr, offset = tensor_from_bytes(raw, offset)
-            arrays[name] = arr
-    except TensorFormatError as exc:
-        raise CheckpointError(f"{path}: bad tensor payload: {exc}") from None
-    return header, arrays, len(raw) - offset
-
-
-def _check_header(path, header):
-    """Raise CheckpointError unless ``header`` has the fields and types
-    that ``save_checkpoint`` writes."""
     names = header.get("names") if isinstance(header, dict) else None
     if not (isinstance(names, list) and all(isinstance(n, str) for n in names)
             and isinstance(header.get("config"), dict) and type(header.get("epoch")) is int):
@@ -197,56 +189,29 @@ def _check_header(path, header):
             f"{path}: malformed checkpoint header, expected an object with "
             f"'names' (list of strings), 'config' (object) and 'epoch' (integer)"
         )
-
-
-def _restore(model, path, header, arrays, trailing):
-    """Check a parsed checkpoint against ``model``, then assign its
-    parameters in place; the stored config must match the model's. Any
-    ``trailing`` bytes after the last named tensor are an error, reported
-    after a missing or misshapen parameter so that a header which lost a
-    name says so. Returns the stored epoch."""
-    stored = header["config"]
-    current = asdict(model.config)
-    # the init seed does not shape the architecture, so a checkpoint may
-    # be restored into a model that was seeded differently
-    diffs = {
-        k: (stored.get(k), current.get(k))
-        for k in set(stored) | set(current)
-        if k != "seed" and stored.get(k) != current.get(k)
-    }
-    if diffs:
-        raise CheckpointError(f"{path}: config mismatch {diffs}")
+    offset = 8 + hlen
+    arrays = {}
+    try:
+        for name in names:
+            arrays[name], offset = tensor_from_bytes(raw, offset)
+    except TensorFormatError as exc:
+        raise CheckpointError(f"{path}: bad tensor payload: {exc}") from None
+    try:
+        model = build_model(ModelConfig(**header["config"]))
+    except (TypeError, ValueError, ArithmeticError) as exc:
+        raise CheckpointError(f"{path}: bad config block: {exc}") from None
     named = list(model.named_parameters())
     for name, p in named:
         if name not in arrays:
             raise CheckpointError(f"{path}: checkpoint is missing parameter {name}")
-        arr = arrays[name]
-        if arr.shape != tuple(p.shape):
-            raise CheckpointError(
-                f"{path}: parameter {name} has shape {arr.shape}, expected {tuple(p.shape)}"
-            )
-    if trailing:
-        raise CheckpointError(f"{path}: trailing {trailing} bytes after the last tensor")
+        if arrays[name].shape != tuple(p.shape):
+            raise CheckpointError(f"{path}: parameter {name} has shape "
+                                  f"{arrays[name].shape}, expected {tuple(p.shape)}")
+    if offset != len(raw):
+        raise CheckpointError(f"{path}: trailing {len(raw) - offset} bytes after the last tensor")
     for name, p in named:
         p.data = arrays[name].astype(np.float32)
-    return header["epoch"]
-
-
-def load_checkpoint_into(model, path):
-    """Restore parameters in place; the stored config must match the
-    model's. Returns the stored epoch."""
-    return _restore(model, path, *_read_checkpoint(path))
-
-
-def load_checkpoint(path):
-    """Rebuild the model a checkpoint describes. Returns (model, epoch)."""
-    header, arrays, trailing = _read_checkpoint(path)
-    try:
-        config = ModelConfig(**header["config"])
-    except (TypeError, ValueError, ArithmeticError) as exc:
-        raise CheckpointError(f"{path}: bad config block: {exc}") from None
-    model = build_model(config)
-    return model, _restore(model, path, header, arrays, trailing)
+    return model, header["epoch"]
 
 
 # -- the loop --------------------------------------------------------------
@@ -285,7 +250,8 @@ def train(model, pairs, val_pairs, cfg, out_dir):
     """Run the optimization loop.
 
     Writes ``checkpoint.tck`` and ``history.csv`` under ``out_dir`` after
-    every epoch. A non-finite loss raises TrainingDiverged and leaves the
+    every epoch; a ``checkpoint.tck`` already there is removed before
+    epoch 0. A non-finite loss raises TrainingDiverged and leaves the
     previous epoch's checkpoint in place; at epoch 0 no checkpoint is
     written.
     """
@@ -307,6 +273,8 @@ def train(model, pairs, val_pairs, cfg, out_dir):
     n = len(pairs)
 
     history = []
+    if os.path.exists(ckpt_path):
+        os.remove(ckpt_path)
     with open(hist_path, "w", newline="") as fh:
         csv.writer(fh).writerow(["epoch", "lr", "train_mse", "val_rmse_hu", "seconds"])
 

@@ -193,6 +193,17 @@ class TestTrain:
         assert "train.val_pairs must be >= 0, got -1" in capsys.readouterr().err
         assert not (tmp_path / "m").exists()
 
+    @pytest.mark.parametrize("line, named", [("train.epochs = 0", "epochs must be >= 1"),
+                                             ("model.width = 0.3", "width 0.3")])
+    def test_refused_config_leaves_no_run_dir(self, workspace, tmp_path, capsys, line, named):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(SMOKE_CFG + line + "\n")
+        code = main(["train", "--config", str(cfg),
+                     "--data", str(workspace / "data"), "--out", str(tmp_path / "m")])
+        assert code == 1
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "m").exists()
+
     @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
     def test_divergence_exit_code(self, workspace, tmp_path, capsys):
         cfg = tmp_path / "hot.cfg"
@@ -201,6 +212,21 @@ class TestTrain:
                      "--data", str(workspace / "data"), "--out", str(tmp_path / "m")])
         assert code == 3
         assert "non-finite" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+    def test_divergence_in_epoch_0_drops_an_earlier_checkpoint(self, workspace, tmp_path,
+                                                               capsys):
+        out = tmp_path / "m"
+        out.mkdir()
+        save_checkpoint(build_model(ModelConfig(width=0.0625, n_heads=2, ffn_mult=2)),
+                        out / "checkpoint.tck", 9)
+        cfg = tmp_path / "hot.cfg"
+        cfg.write_text(SMOKE_CFG + "train.lr = 1e12\ntrain.clip_norm = 0\n")
+        code = main(["train", "--config", str(cfg), "--force",
+                     "--data", str(workspace / "data"), "--out", str(out)])
+        assert code == 3
+        assert "this run wrote no checkpoint" in capsys.readouterr().err
+        assert not (out / "checkpoint.tck").exists()
 
     def test_unknown_config_key(self, workspace, tmp_path, capsys):
         cfg = tmp_path / "typo.cfg"

@@ -1,6 +1,8 @@
 """Flat ``section.key = value`` run configuration."""
 
 import dataclasses
+import re
+from pathlib import Path
 
 import pytest
 
@@ -142,3 +144,18 @@ class TestTypedViews:
         assert geom.image_size == 64
         assert geom.n_views == 90
         assert geom.n_detectors % 2 == 1
+
+
+def test_readme_config_table_matches_schema():
+    # each row of the README table is "| `group.` | `key` (default), ... |"; the
+    # first word in parentheses is the default, as a config file would spell it
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    documented = {}
+    for group, keys in re.findall(r"^\| `(\w+)\.` ?\|(.*)\|$", readme, flags=re.M):
+        for key, default in re.findall(r"`(\w+)` \(([^)]*)\)", keys):
+            documented[f"{group}.{key}"] = default.split()[0]
+    assert set(documented) == set(SCHEMA)
+    for key, text in documented.items():
+        parser, default = SCHEMA[key]
+        value = parser(text)
+        assert (value, type(value)) == (default, type(default)), key

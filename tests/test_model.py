@@ -89,6 +89,11 @@ class TestModelConfig:
         with pytest.raises(ValueError, match="multiple of 32"):
             ModelConfig(use_positional=True, pos_image_size=40)
 
+    @pytest.mark.parametrize("size", [0, -64])
+    def test_pos_image_size_must_be_positive(self, size):
+        with pytest.raises(ValueError, match=f"positive multiple of 32, got {size}"):
+            ModelConfig(use_positional=True, pos_image_size=size)
+
 
 class TestAttention:
     @pytest.mark.parametrize("n_heads", [1, 4])
