@@ -26,6 +26,7 @@ from .tctio import read_tensor, write_tensor
 from .tensor import ShapeError
 from .training import (
     TrainingDiverged,
+    check_training_pairs,
     denoise_image,
     load_checkpoint,
     train,
@@ -120,9 +121,10 @@ def _split_pairs(pairs, val_n):
 
 
 def _fit(model, cfg, out, force, train_pairs, val_pairs):
-    """Train ``model``, built from ``cfg``, into ``out`` (overwrite guard,
-    ``run.cfg``, train). Returns the TrainResult."""
+    """Train ``model``, built from ``cfg``, into ``out`` (checks before
+    anything is written, ``run.cfg``, train). Returns the TrainResult."""
     train_cfg = cfg.train_config()
+    check_training_pairs(train_pairs)
     if (out / "checkpoint.tck").exists() and not force:
         raise FileExistsError(f"{out} already holds a checkpoint; pass --force to overwrite")
     out.mkdir(parents=True, exist_ok=True)

@@ -25,18 +25,22 @@ class TensorFormatError(ValueError):
     """Malformed TCT1 payload; the message carries the byte offset."""
 
 
-def tensor_to_bytes(arr):
-    # note: ascontiguousarray would promote 0-d to 1-d; tobytes() below
-    # already emits row-major bytes for any memory layout
-    arr = np.asarray(arr)
+def frame_header(arr):
+    """The bytes that precede ``arr``'s scalars in a record: magic, rank,
+    extents and dtype tag."""
     if arr.dtype not in _DTYPE_TO_TAG:
         raise TypeError(f"TCT1 stores float32/float64 only, got {arr.dtype}")
     if arr.ndim > MAX_RANK:
         raise ValueError(f"TCT1 rank limit is {MAX_RANK}, got {arr.ndim}")
-    head = MAGIC + struct.pack("<B", arr.ndim)
-    head += struct.pack(f"<{arr.ndim}I", *arr.shape)
-    head += struct.pack("<B", _DTYPE_TO_TAG[arr.dtype])
-    return head + arr.astype(arr.dtype.newbyteorder("<")).tobytes()
+    return struct.pack(f"<4sB{arr.ndim}IB", MAGIC, arr.ndim, *arr.shape,
+                       _DTYPE_TO_TAG[arr.dtype])
+
+
+def tensor_to_bytes(arr):
+    # note: ascontiguousarray would promote 0-d to 1-d; tobytes() below
+    # already emits row-major bytes for any memory layout
+    arr = np.asarray(arr)
+    return frame_header(arr) + arr.astype(arr.dtype.newbyteorder("<")).tobytes()
 
 
 def tensor_from_bytes(buf, offset=0):

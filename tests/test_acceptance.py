@@ -183,6 +183,7 @@ def test_criterion_03_gradient_audit():
 # -- 4 ----------------------------------------------------------------------
 
 
+@pytest.mark.slow
 def test_criterion_04_overfit_gate(tmp_path):
     # eight quarter-dose pairs, 2000 full-batch steps at lr 1e-3; the gate
     # scores the run's own first patch: denoised-vs-normal-dose must beat

@@ -204,6 +204,18 @@ class TestTrain:
         assert named in capsys.readouterr().err
         assert not (tmp_path / "m").exists()
 
+    def test_patch_size_refused_before_the_run_dir(self, tmp_path, capsys):
+        cfg = tmp_path / "small.cfg"
+        cfg.write_text(SMOKE_CFG.replace("data.n_pairs = 3", "data.n_pairs = 2")
+                       .replace("data.size = 64", "data.size = 48"))
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "data")]) == 0
+        code = main(["train", "--config", str(cfg),
+                     "--data", str(tmp_path / "data"), "--out", str(tmp_path / "m")])
+        assert code == 1
+        assert ("training patches must be multiples of 32, got 48x48"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "m").exists()
+
     @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
     def test_divergence_exit_code(self, workspace, tmp_path, capsys):
         cfg = tmp_path / "hot.cfg"

@@ -7,6 +7,7 @@ import pytest
 
 from ctdenoise.tctio import (
     TensorFormatError,
+    frame_header,
     read_tensor,
     tensor_from_bytes,
     tensor_to_bytes,
@@ -72,6 +73,31 @@ class TestGoldenBytes:
             + struct.pack("<d", 1.5)
         )
         assert tensor_to_bytes(arr) == expect
+
+
+class TestFrameHeader:
+    """``frame_header`` is the one place the record framing is written."""
+
+    @staticmethod
+    def by_hand(shape, tag):
+        return (b"TCT1" + bytes([len(shape)])
+                + b"".join(int(n).to_bytes(4, "little") for n in shape) + bytes([tag]))
+
+    @pytest.mark.parametrize("rank", range(9))
+    @pytest.mark.parametrize("dtype, tag", [(np.float32, 0), (np.float64, 1)])
+    def test_record_is_header_then_little_endian_scalars(self, rank, dtype, tag):
+        shape = (3, 1, 2, 1, 2, 1, 1, 2)[:rank]
+        arr = np.random.default_rng(rank).normal(size=shape).astype(dtype)
+        head = self.by_hand(shape, tag)
+        assert frame_header(arr) == head
+        assert tensor_to_bytes(arr) == head + arr.astype(np.dtype(dtype).newbyteorder("<")).tobytes()
+
+    def test_non_contiguous_input(self):
+        arr = np.arange(24.0, dtype=np.float64).reshape(4, 6)[::2, 1::2].T
+        assert not arr.flags.c_contiguous
+        head = self.by_hand((3, 2), 1)
+        assert frame_header(arr) == head
+        assert tensor_to_bytes(arr) == head + struct.pack("<6d", *arr.ravel())
 
 
 class TestErrors:

@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import tracemalloc
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from ctdenoise.ctsim import HU, MU_PER_MM, CtImage, DoseConfig, TrainingPair, ma
 from ctdenoise.freq import decompose
 from ctdenoise.model import ModelConfig, build_model
 from ctdenoise.optim import AdamState, adam_step
+from ctdenoise.tctio import tensor_to_bytes
 from ctdenoise.tensor import ShapeError, Tensor, add
 from conftest import MALFORMED_HEADERS, write_header_only_checkpoint
 from ctdenoise.training import (
@@ -328,6 +330,99 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match=r"trunk1\.conv\.bias has shape \(3,\), "
                                                   r"expected \(4,\)"):
             load_checkpoint(path)
+
+
+class _NoDraw(np.random.Generator):
+    def uniform(self, *args, **kwargs):
+        raise AssertionError("a weight was drawn")
+
+
+class TestLoadWithoutDrawing:
+    """``load_checkpoint`` builds its model without drawing weights, and
+    hands back one private float32 copy per stored tensor."""
+
+    def test_draws_no_random_numbers(self, tmp_path, monkeypatch):
+        path = tmp_path / "model.tck"
+        a = build_model(ModelConfig(**TINY))
+        save_checkpoint(a, path, epoch=2)
+        monkeypatch.setattr(np.random, "default_rng", lambda seed=None: _NoDraw(np.random.PCG64(seed)))
+        with pytest.raises(AssertionError, match="drawn"):
+            build_model(ModelConfig(**TINY))
+        b, epoch = load_checkpoint(path)
+        assert epoch == 2
+        for pa, pb in zip(a.parameters(), b.parameters()):
+            assert np.array_equal(pa.data, pb.data)
+
+    def test_builds_draw_again_after_loads(self, tmp_path):
+        def params(model):
+            return [p.data.copy() for p in model.parameters()]
+
+        ref = params(build_model(ModelConfig(**TINY)))
+        good = tmp_path / "good.tck"
+        save_checkpoint(build_model(ModelConfig(**TINY, use_positional=True, pos_image_size=32)),
+                        good, epoch=0)
+        bad_config = tmp_path / "bad_config.tck"
+        write_header_only_checkpoint(bad_config, MALFORMED_HEADERS["heads_zero"])
+        missing = tmp_path / "missing.tck"
+        raw = good.read_bytes()
+        hlen = int.from_bytes(raw[4:8], "little")
+        header = json.loads(raw[8 : 8 + hlen])
+        header["names"].pop()
+        blob = json.dumps(header).encode()
+        missing.write_bytes(CHECKPOINT_MAGIC + len(blob).to_bytes(4, "little") + blob
+                            + raw[8 + hlen :])
+
+        load_checkpoint(good)
+        after = params(build_model(ModelConfig(**TINY)))
+        assert all(np.array_equal(x, y) for x, y in zip(ref, after))
+        for path, text in ((bad_config, "bad config block"), (missing, "missing parameter")):
+            with pytest.raises(CheckpointError, match=text):
+                load_checkpoint(path)
+            after = params(build_model(ModelConfig(**TINY)))
+            assert all(np.array_equal(x, y) for x, y in zip(ref, after))
+
+    def test_parameters_are_private_writable_float32(self, tmp_path):
+        path = tmp_path / "model.tck"
+        save_checkpoint(build_model(ModelConfig(**TINY)), path, epoch=0)
+        first = [p.data for p in load_checkpoint(path)[0].parameters()]
+        second = [p.data for p in load_checkpoint(path)[0].parameters()]
+        for arr in first:
+            assert arr.dtype == np.float32
+            assert arr.flags.c_contiguous and arr.flags.writeable and arr.flags.owndata
+        for i, arr in enumerate(first):
+            others = first[i + 1 :] + second
+            assert not any(np.may_share_memory(arr, other) for other in others)
+
+    @pytest.mark.parametrize("use_positional", [False, True])
+    @pytest.mark.parametrize("variant", ["full", "no_transformer", "no_dual_path"])
+    def test_round_trip_is_bitwise(self, tmp_path, variant, use_positional):
+        config = ModelConfig(**TINY, variant=variant, use_positional=use_positional,
+                             pos_image_size=64)
+        a = build_model(config)
+        save_checkpoint(a, tmp_path / "a.tck", epoch=5)
+        b, epoch = load_checkpoint(tmp_path / "a.tck")
+        assert epoch == 5 and b.config == config
+        assert [n for n, _ in a.named_parameters()] == [n for n, _ in b.named_parameters()]
+        for pa, pb in zip(a.parameters(), b.parameters()):
+            assert pb.data.dtype == np.float32
+            assert pa.data.tobytes() == pb.data.tobytes()
+        save_checkpoint(b, tmp_path / "b.tck", epoch=5)
+        assert (tmp_path / "a.tck").read_bytes() == (tmp_path / "b.tck").read_bytes()
+
+    def test_file_is_header_then_framed_parameters(self, tmp_path):
+        path = tmp_path / "model.tck"
+        model = build_model(ModelConfig(**TINY))
+        # one weight held in Fortran order and one bias in float64: the file
+        # still holds their float32 row-major bytes
+        model.trunk1.conv.weight.data = np.asfortranarray(model.trunk1.conv.weight.data)
+        model.trunk1.conv.bias.data = np.linspace(-1, 1, 4)
+        save_checkpoint(model, path, epoch=4)
+        named = list(model.named_parameters())
+        blob = json.dumps({"config": asdict(model.config), "epoch": 4,
+                           "names": [n for n, _ in named]}).encode("utf-8")
+        expect = CHECKPOINT_MAGIC + len(blob).to_bytes(4, "little") + blob + b"".join(
+            tensor_to_bytes(np.asarray(p.data, dtype=np.float32)) for _, p in named)
+        assert path.read_bytes() == expect
 
 
 class TestTrainLoop:
