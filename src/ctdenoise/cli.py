@@ -51,10 +51,10 @@ def _workers():
 def _resolve_config(args, fallback=None):
     """Defaults, then ``--config`` (or else ``fallback``), then command-line overrides."""
     overrides = {}
-    seed = getattr(args, "seed", None)
-    if seed is not None:
-        overrides.update({"data.seed": seed, "model.seed": seed, "train.seed": seed})
-    return load_run_config(getattr(args, "config", None) or fallback, overrides)
+    if args.seed is not None:
+        overrides.update({"data.seed": args.seed, "model.seed": args.seed,
+                          "train.seed": args.seed})
+    return load_run_config(args.config or fallback, overrides)
 
 
 def _read_image(path):

@@ -32,7 +32,8 @@ projector's chunks of views and the backprojector's bands of image rows
 run on a pool of helper threads, made on first use, with the calling
 thread working too. Each chunk and band writes its own part of the output
 with the arithmetic of one thread, so the bits do not depend on the
-thread count. Work too small to pay for threads runs on the caller alone.
+thread count. A projection of a single chunk, or a backprojection of
+fewer than ``2 * _BAND_ROWS`` image rows, runs on the caller alone.
 """
 
 from __future__ import annotations
@@ -193,17 +194,17 @@ def make_phantom(seed, size=64, n_ellipses=6, pixel_spacing_mm=1.0):
 # -- unit conversions ----------------------------------------------------
 
 
-def hu_to_mu(img, mu_water=MU_WATER_60KEV):
+def hu_to_mu(img):
     if img.unit != HU:
         raise UnitError(f"hu_to_mu expects a HU image, got unit {img.unit!r}")
-    mu = mu_water * (1.0 + img.grid.astype(np.float64) / 1000.0)
+    mu = MU_WATER_60KEV * (1.0 + img.grid.astype(np.float64) / 1000.0)
     return CtImage(mu.astype(np.float32), MU_PER_MM, img.pixel_spacing_mm)
 
 
-def mu_to_hu(img, mu_water=MU_WATER_60KEV):
+def mu_to_hu(img):
     if img.unit != MU_PER_MM:
         raise UnitError(f"mu_to_hu expects an attenuation image, got unit {img.unit!r}")
-    hu = 1000.0 * (img.grid.astype(np.float64) / mu_water - 1.0)
+    hu = 1000.0 * (img.grid.astype(np.float64) / MU_WATER_60KEV - 1.0)
     return CtImage(hu.astype(np.float32), HU, img.pixel_spacing_mm)
 
 
@@ -213,7 +214,6 @@ def mu_to_hu(img, mu_water=MU_WATER_60KEV):
 _PAD = 2  # zero border: every corner of a clipped sample lands in it
 _CHUNK_SAMPLES = 30_000  # kept samples per chunk: enough for numpy to run mostly without the GIL
 _CHUNK_ROWS = 2 * _CHUNK_SAMPLES  # full-row elements per chunk, for a support far inside the grid
-_THREADED_SAMPLES = 100_000  # kept samples per projection below which threads do not pay
 _BAND_ROWS = 64  # image rows per backprojection band below which threads do not pay
 _FILTER_VIEWS = 32  # views per FFT chunk of the FBP filter
 
@@ -224,14 +224,14 @@ _pool = None
 _pool_lock = threading.Lock()
 
 
-def _run(job, tasks, threaded):
-    """Run ``job(take)`` on the calling thread and, if ``threaded``, on up to
-    ``_THREADS - 1`` pool threads. ``take()`` hands out the next task, or
-    None when none is left, so each job keeps its scratch across the tasks
-    it takes. The caller works through the tasks itself and then cancels
-    the helpers that have not started, so a caller whose helpers cannot
-    start (the pool is busy, or this is a forked child whose pool threads
-    are gone) finishes alone instead of waiting."""
+def _run(job, tasks):
+    """Run ``job(take)`` on the calling thread and on
+    ``min(_THREADS, len(tasks)) - 1`` pool threads. ``take()`` hands out the
+    next task, or None when none is left, so each job keeps its scratch
+    across the tasks it takes. The caller works through the tasks itself
+    and then cancels the helpers that have not started, so a caller whose
+    helpers cannot start (the pool is busy, or this is a forked child whose
+    pool threads are gone) finishes alone instead of waiting."""
     global _pool
     pending = iter(tasks)
     lock = threading.Lock()
@@ -240,7 +240,7 @@ def _run(job, tasks, threaded):
         with lock:
             return next(pending, None)
 
-    n_helpers = min(_THREADS if threaded else 1, len(tasks)) - 1
+    n_helpers = min(_THREADS, len(tasks)) - 1
     if n_helpers > 0:
         with _pool_lock:
             if _pool is None:
@@ -308,11 +308,10 @@ def forward_project(img, geom):
     serve every view. The unit of work is a chunk of consecutive views of
     one group, about ``_CHUNK_SAMPLES`` kept samples: several views of a
     small image, or a part of one view of a large one. The chunks run on
-    ``_run``'s threads, each with its own scratch, once a projection keeps
-    ``_THREADED_SAMPLES`` samples; each chunk writes its own block of the
-    sinogram, so the bits do not depend on the thread count. At 128x128 a
-    phantom marches 29% of the samples, and an image whose support reaches
-    the grid corners 78%."""
+    ``_run``'s threads, each with its own scratch; each chunk writes its own
+    block of the sinogram, so the bits do not depend on the thread count.
+    At 128x128 a phantom marches 29% of the samples, and an image whose
+    support reaches the grid corners 78%."""
     if img.unit != MU_PER_MM:
         raise UnitError(f"forward_project expects attenuation input, got {img.unit!r}")
     H, W = img.grid.shape
@@ -404,7 +403,7 @@ def forward_project(img, geom):
             values[vs, rays] = full.reshape(nv, -1, len(s)).sum(axis=-1) * step
             full.fill(0.0)
 
-    _run(march, chunks, per_view * len(angles) >= _THREADED_SAMPLES)
+    _run(march, chunks)
     return Sinogram(values=values, geometry=geom)
 
 
@@ -442,7 +441,7 @@ def _ramp_kernel(n_pad, spacing):
     return h
 
 
-def _filter(values, geom, window, out):
+def _filter(values, geom, out):
     """Ramp-filter each view of ``values`` (views x detectors) and write
     the result, in mu per mm, into the float64 array ``out`` of the same
     shape; ``out`` may be a strided view such as the ``.real`` of a complex
@@ -457,8 +456,6 @@ def _filter(values, geom, window, out):
             f"sinogram shape {values.shape} does not match geometry "
             f"({geom.n_views} views x {geom.n_detectors} detectors)"
         )
-    if window not in ("ramlak", "hann"):
-        raise ValueError(f"unknown filter window {window!r}")
     if not np.isfinite(values).all():
         raise ValueError("sinogram contains non-finite values")
 
@@ -466,9 +463,6 @@ def _filter(values, geom, window, out):
     n_det = geom.n_detectors
     n_pad = 1 << int(math.ceil(math.log2(max(64, 2 * n_det))))
     ramp = np.fft.fft(_ramp_kernel(n_pad, d)).real
-    if window == "hann":
-        frac = np.abs(np.fft.fftfreq(n_pad)) * 2.0  # 0 at DC, 1 at Nyquist
-        ramp = ramp * (0.5 * (1.0 + np.cos(np.pi * frac)))
 
     buf = np.empty((min(_FILTER_VIEWS, geom.n_views), n_pad), dtype=np.complex128)
     for v in range(0, geom.n_views, _FILTER_VIEWS):
@@ -510,7 +504,7 @@ def _backproject(filtered, geom):
 
     n_bands = max(1, min(_THREADS, size // _BAND_ROWS))
     width = -(-size // n_bands)
-    _run(sweep, [slice(r, r + width) for r in range(0, size, width)], True)
+    _run(sweep, [slice(r, r + width) for r in range(0, size, width)])
     return recon
 
 
@@ -520,25 +514,26 @@ def _image(recon, geom):
     return CtImage(recon.astype(np.float32), MU_PER_MM, geom.pixel_spacing_mm)
 
 
-def fbp(sino, geom, window="ramlak"):
-    """Filtered back projection: per-view ramp filtering in the frequency
-    domain, done in place on the zero-padded spectra, then
-    linear-interpolation backprojection scaled by pi/n_views. A sinogram
-    holding NaN or inf is rejected. ``simulate_pair`` backprojects its two
-    doses together (``_fbp_pair``), bitwise as two calls of this."""
+def fbp(sino, geom):
+    """Filtered back projection: per-view Ram-Lak (band-limited ramp)
+    filtering in the frequency domain, done in place on the zero-padded
+    spectra, then linear-interpolation backprojection scaled by
+    pi/n_views. A sinogram holding NaN or inf is rejected.
+    ``simulate_pair`` backprojects its two doses together (``_fbp_pair``),
+    bitwise as two calls of this."""
     filtered = np.empty((geom.n_views, geom.n_detectors))
-    _filter(sino.values, geom, window, filtered)
+    _filter(sino.values, geom, filtered)
     return _image(_backproject(filtered, geom), geom)
 
 
-def _fbp_pair(sino_a, sino_b, geom, window):
+def _fbp_pair(sino_a, sino_b, geom):
     """``fbp`` of two sinograms on one geometry, each image bitwise that of
     ``fbp``, with one backprojection pass. The filtered views are written
     into the real and imaginary parts of one complex buffer, never summed
     as ``a + 1j * b``: ``0 * inf`` would make a NaN in the other part."""
     packed = np.empty((geom.n_views, geom.n_detectors), dtype=np.complex128)
-    _filter(sino_a.values, geom, window, packed.real)
-    _filter(sino_b.values, geom, window, packed.imag)
+    _filter(sino_a.values, geom, packed.real)
+    _filter(sino_b.values, geom, packed.imag)
     recon = _backproject(packed, geom)
     return _image(recon.real, geom), _image(recon.imag, geom)
 
@@ -579,7 +574,7 @@ def simulate_pair(seed, pair_index, size, dose, geom=None, n_ellipses=6):
     nd_sino = insert_poisson_noise(sino, replace(dose, dose_fraction=1.0, seed=noise_seed))
     ld_sino = insert_poisson_noise(sino, replace(dose, seed=noise_seed))
     nd, ld = (_clamp_hu(mu_to_hu(img))
-              for img in _fbp_pair(nd_sino, ld_sino, geom, "ramlak"))
+              for img in _fbp_pair(nd_sino, ld_sino, geom))
     return TrainingPair(ld=ld, nd=nd), phantom
 
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import ShapeError, Tensor
+from .tensor import NonFiniteError, ShapeError, Tensor
 
 DEFAULT_SIGMA = 1.5
 
@@ -66,18 +66,13 @@ class FreqPair:
 
 
 def decompose(image, sigma=DEFAULT_SIGMA):
-    """Split a 2-d image tensor into Gaussian low band plus residual."""
+    """Split a 2-d image tensor into Gaussian low band plus residual. An
+    image holding NaN or inf raises NonFiniteError."""
     data = image.data if isinstance(image, Tensor) else np.asarray(image)
     if data.ndim != 2:
         raise ShapeError(f"decompose expects a 2-d image, got shape {data.shape}")
+    if not np.isfinite(data).all():
+        raise NonFiniteError("decompose: image contains NaN or infinite values")
     low = gaussian_blur(data, sigma)
     high = data - low
     return FreqPair(low=Tensor(low), high=Tensor(high))
-
-
-def recompose(pair):
-    if pair.low.shape != pair.high.shape:
-        raise ShapeError(
-            f"recompose: band shapes disagree, {pair.low.shape} vs {pair.high.shape}"
-        )
-    return Tensor(pair.low.data + pair.high.data)

@@ -475,15 +475,13 @@ def attention(q, k, v, n_heads):
     return _result(out.reshape(B, N, C), (q, k, v), backward)
 
 
-def conv2d(x, weight, bias, stride=1, padding="same"):
+def conv2d(x, weight, bias, stride=1):
     """2-d cross-correlation with "same" zero padding.
 
     ``x`` is (B, Cin, H, W), ``weight`` (Cout, Cin, k, k) with odd k,
     ``bias`` (Cout,). Same padding of k//2 per side gives output spatial
     extents ceil(H/stride), so stride 2 exactly halves even inputs.
     """
-    if padding != "same":
-        raise ValueError(f"only 'same' padding is supported, got {padding!r}")
     if x.ndim != 4 or weight.ndim != 4:
         raise ShapeError(f"conv2d needs 4-d input/weight, got {x.shape} and {weight.shape}")
     B, C, H, W = x.shape

@@ -4,6 +4,7 @@ A module-scoped workspace runs simulate + train once; individual tests
 reuse those artifacts to keep the suite fast.
 """
 
+import json
 import shutil
 
 import numpy as np
@@ -15,7 +16,15 @@ from ctdenoise.config import parse_config_text
 from ctdenoise.ctsim import load_dataset
 from ctdenoise.model import ModelConfig, build_model, count_parameters
 from ctdenoise.tctio import read_tensor, write_tensor
-from ctdenoise.training import save_checkpoint
+from ctdenoise.training import CHECKPOINT_MAGIC, save_checkpoint
+
+def nan_image(path):
+    """A 64x64 HU image with one NaN pixel."""
+    grid = np.zeros((64, 64), np.float32)
+    grid[10, 20] = np.nan
+    write_tensor(path, grid)
+    return path
+
 
 SMOKE_CFG = """
 data.n_pairs = 3
@@ -136,6 +145,12 @@ class TestDecompose:
         write_tensor(bad, np.zeros(7, dtype=np.float32))
         assert main(["decompose", "--input", str(bad), "--out", str(tmp_path / "o")]) == 1
         assert "2-d" in capsys.readouterr().err
+
+    def test_rejects_non_finite_image(self, tmp_path, capsys):
+        src = nan_image(tmp_path / "nan.tct")
+        assert main(["decompose", "--input", str(src), "--out", str(tmp_path / "o")]) == 1
+        assert "NaN or infinite" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "low.tct").exists()
 
 
 class TestTrain:
@@ -314,6 +329,31 @@ class TestDenoise:
                      "--input", str(workspace / "crop.tct"), "--out", str(tmp_path / "o.tct")])
         assert code == 1
         assert "trailing 29 bytes" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("variant", ["full", "no_transformer"])
+    def test_non_finite_image(self, tmp_path, capsys, variant):
+        model = build_model(ModelConfig(width=0.0625, n_heads=2, ffn_mult=2, variant=variant))
+        save_checkpoint(model, tmp_path / "m.tck", 0)
+        src = nan_image(tmp_path / "nan.tct")
+        code = main(["denoise", "--checkpoint", str(tmp_path / "m.tck"),
+                     "--input", str(src), "--out", str(tmp_path / "o.tct")])
+        assert code == 1
+        assert "decompose: image contains NaN or infinite" in capsys.readouterr().err
+        assert not (tmp_path / "o.tct").exists()
+
+    def test_checkpoint_config_of_the_wrong_type(self, workspace, tmp_path, capsys):
+        raw = (workspace / "model" / "checkpoint.tck").read_bytes()
+        hlen = int.from_bytes(raw[4:8], "little")
+        header = json.loads(raw[8 : 8 + hlen])
+        header["config"]["n_heads"] = float(header["config"]["n_heads"])
+        blob = json.dumps(header).encode()
+        bad = tmp_path / "float_heads.tck"
+        bad.write_bytes(CHECKPOINT_MAGIC + len(blob).to_bytes(4, "little") + blob + raw[8 + hlen:])
+        code = main(["denoise", "--checkpoint", str(bad),
+                     "--input", str(workspace / "crop.tct"), "--out", str(tmp_path / "o.tct")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "o.tct").exists()
 
     @pytest.mark.parametrize("header", MALFORMED_HEADERS.values(), ids=MALFORMED_HEADERS)
     def test_malformed_checkpoint_header(self, workspace, tmp_path, capsys, header):

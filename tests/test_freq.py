@@ -7,13 +7,11 @@ import pytest
 
 from ctdenoise.freq import (
     DEFAULT_SIGMA,
-    FreqPair,
     decompose,
     gaussian_blur,
     gaussian_kernel,
-    recompose,
 )
-from ctdenoise.tensor import ShapeError, Tensor
+from ctdenoise.tensor import NonFiniteError, ShapeError, Tensor
 
 from conftest import rel_err
 
@@ -131,15 +129,13 @@ class TestDecompose:
         with pytest.raises(ShapeError):
             decompose(np.ones((2, 16, 16)))
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_image_rejected(self, dtype, bad):
+        img = np.zeros((32, 32), dtype=dtype)
+        img[5, 7] = bad
+        with pytest.raises(NonFiniteError, match="^decompose: image contains NaN or infinite"):
+            decompose(img)
+        with pytest.raises(NonFiniteError):
+            decompose(Tensor(img))
 
-class TestRecompose:
-    def test_returns_original(self):
-        rng = np.random.default_rng(4)
-        img = rng.normal(size=(24, 24)).astype(np.float32)
-        pair = decompose(img)
-        assert np.abs(recompose(pair).data - img).max() <= 1e-6
-
-    def test_shape_mismatch(self):
-        pair = FreqPair(low=Tensor(np.ones((4, 4))), high=Tensor(np.ones((4, 5))))
-        with pytest.raises(ShapeError):
-            recompose(pair)

@@ -89,6 +89,18 @@ class TestModelConfig:
         with pytest.raises(ValueError, match="multiple of 32"):
             ModelConfig(use_positional=True, pos_image_size=40)
 
+    @pytest.mark.parametrize("field, value", [
+        ("n_heads", 4.0), ("seed", True), ("variant", 1), ("width", True),
+        ("use_positional", 1), ("sigma", "1.5"),
+    ])
+    def test_field_types_checked(self, field, value):
+        with pytest.raises(TypeError, match=f"^{field} must be "):
+            ModelConfig(**{field: value})
+
+    def test_float_fields_take_ints(self):
+        cfg = ModelConfig(width=1, sigma=2)
+        assert (cfg.width, cfg.sigma) == (1, 2)
+
     @pytest.mark.parametrize("size", [0, -64])
     def test_pos_image_size_must_be_positive(self, size):
         with pytest.raises(ValueError, match=f"positive multiple of 32, got {size}"):

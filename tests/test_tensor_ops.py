@@ -395,8 +395,6 @@ class TestConv2d:
             conv2d(x, Tensor(np.zeros((3, 2, 4, 4))), b)
         with pytest.raises(ShapeError):  # non-square kernel
             conv2d(x, Tensor(np.zeros((3, 2, 3, 5))), b)
-        with pytest.raises(ValueError):  # unsupported padding
-            conv2d(x, Tensor(np.zeros((3, 2, 3, 3))), b, padding="valid")
         with pytest.raises(ShapeError):  # 3-d input
             conv2d(Tensor(np.zeros((2, 4, 4))), Tensor(np.zeros((3, 2, 3, 3))), b)
 
@@ -452,6 +450,11 @@ class TestPixelShuffle:
 
 
 class TestTensorBasics:
+    def test_repr_names_shape_dtype_and_grad(self):
+        assert repr(Tensor(np.zeros((2, 3)))) == "Tensor(shape=(2, 3), dtype=float64)"
+        assert (repr(Tensor(np.zeros(4, np.float32), requires_grad=True))
+                == "Tensor(shape=(4,), dtype=float32, requires_grad=True)")
+
     def test_item_and_detach(self):
         t = Tensor(np.array(3.5))
         assert t.item() == 3.5

@@ -292,6 +292,24 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="malformed checkpoint header"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("field, value, want", [
+        ("n_heads", 2.0, "n_heads must be int, got float 2.0"),
+        ("seed", True, "seed must be int, got bool True"),
+        ("variant", 1, "variant must be str, got int 1"),
+    ])
+    def test_config_of_the_wrong_type(self, tmp_path, field, value, want):
+        # a header edited by hand: the values are legal, their types are not
+        path = tmp_path / "model.tck"
+        save_checkpoint(build_model(ModelConfig(**TINY)), path, epoch=0)
+        raw = path.read_bytes()
+        hlen = int.from_bytes(raw[4:8], "little")
+        header = json.loads(raw[8 : 8 + hlen])
+        header["config"][field] = value
+        blob = json.dumps(header).encode()
+        path.write_bytes(CHECKPOINT_MAGIC + len(blob).to_bytes(4, "little") + blob + raw[8 + hlen :])
+        with pytest.raises(CheckpointError, match=f"bad config block: {want}$"):
+            load_checkpoint(path)
+
     def test_layout_frozen(self, tmp_path):
         # names, order and framing of the on-disk format, byte for byte
         path = tmp_path / "model.tck"
