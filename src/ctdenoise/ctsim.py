@@ -17,7 +17,12 @@ mu = 0, so about 29% of a 128x128 phantom's samples are marched. An image
 whose support reaches the grid corners marches 78%: its disk also holds
 samples that read only the zero border. Each ray is still summed over
 its full-length sample row, with exact zeros where the skipped samples
-were, so the sinograms are bitwise those of marching every sample.
+were, so the sinograms are bitwise those of marching every sample. Each
+thread keeps its full-length rows zero between chunks: every chunk of a
+group of rays writes the same positions, so only a thread that moves to
+another group zeroes them again. The clip that keeps the samples' bilinear
+corners in the zero border is skipped when the support disk lies inside
+the bordered grid, as every simulated phantom's does.
 
 FBP filters each sinogram in place, a chunk of views at a time: the
 zero-padded spectra are multiplied by the ramp and inverse transformed in
@@ -25,7 +30,9 @@ one buffer. A dose pair shares its geometry, so its two filtered
 sinograms go into the real and imaginary parts of one complex buffer and
 are backprojected together: one ``np.interp`` per view for both doses.
 ``np.interp`` treats the two parts apart and the detector steps are
-exactly 1.0, so each image is bitwise that of its own FBP.
+exactly 1.0, so each image is bitwise that of its own FBP. The
+interpolation positions of ``_SWEEP_VIEWS`` views are built in one
+broadcast, each element by the products and sums of a view of its own.
 
 Projection and backprojection use up to one thread per usable core: the
 projector's chunks of views and the backprojector's bands of image rows
@@ -49,6 +56,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .checks import check_field_types
 from .tctio import read_tensor, write_tensor
 
 HU = "HU"
@@ -89,6 +97,7 @@ class ScanGeometry:
     pixel_spacing_mm: float = 1.0
 
     def __post_init__(self):
+        check_field_types(self)
         for name in ("n_views", "n_detectors", "image_size"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
@@ -214,7 +223,8 @@ def mu_to_hu(img):
 _PAD = 2  # zero border: every corner of a clipped sample lands in it
 _CHUNK_SAMPLES = 30_000  # kept samples per chunk: enough for numpy to run mostly without the GIL
 _CHUNK_ROWS = 2 * _CHUNK_SAMPLES  # full-row elements per chunk, for a support far inside the grid
-_BAND_ROWS = 64  # image rows per backprojection band below which threads do not pay
+_BAND_ROWS = 32  # image rows per backprojection band below which threads do not pay
+_SWEEP_VIEWS = 8  # views whose backprojection indices are built in one broadcast
 _FILTER_VIEWS = 32  # views per FFT chunk of the FBP filter
 
 # usable cores; the pool of helper threads is made on first use
@@ -256,6 +266,26 @@ def _run(job, tasks):
                 helper.result()
 
 
+def _slack(s, t, ps, size):
+    """A bound, in pixels, on the rounding of the projector's coordinates
+    and of the distances computed from them: a few float64 epsilons of the
+    largest magnitude involved."""
+    return 16 * math.ulp(1.0) * (2 * size + 2 + (np.abs(t).max() + np.abs(s).max()) / ps)
+
+
+def _needs_clip(s, t, ps, first, count, size):
+    """Whether a kept sample (``_support_window``) can leave ``[-_PAD, size]``
+    in some view, so that the projector must clip its coordinates. A
+    sample's coordinates lie within its distance from the grid centre of
+    ``(size - 1) / 2``, so none leaves when the farthest kept sample, with
+    the rounding ``_slack``, is at most ``(size + 1) / 2`` pixels from it.
+    Along a ray the samples are sorted, so the farthest is a window end."""
+    live = np.flatnonzero(count)
+    ends = np.maximum(np.abs(s[first[live]]), np.abs(s[first[live] + count[live] - 1]))
+    far = np.hypot(t[live], ends).max(initial=0.0) / ps
+    return far + _slack(s, t, ps, size) > (size + 1) / 2
+
+
 def _support_window(s, t, ps, grid):
     """Per-ray run of sample indices that holds every sample which can read
     a nonzero pixel of ``grid`` (NaN and inf count, -0.0 does not). Returns
@@ -267,16 +297,12 @@ def _support_window(s, t, ps, grid):
     largest distance from the centre to a nonzero pixel, reads only exact
     zeros. In ray coordinates that disk is ``|s| <= sqrt(reach**2 - t**2)``
     whatever the view angle, and a ray with ``|t| > reach`` keeps nothing;
-    an all-zero grid keeps no sample. The disk is widened by ``tol`` pixels,
-    a bound on the rounding of the projector's coordinates and of this
-    computation: a few float64 epsilons of the largest magnitude involved."""
+    an all-zero grid keeps no sample. The disk is widened by ``_slack``."""
     size = grid.shape[0]
     center = (size - 1) / 2.0
     yy, xx = np.nonzero(grid)
     radius = np.hypot(yy - center, xx - center).max(initial=-np.inf)
-    tol = 16 * math.ulp(1.0) * (
-        2 * size + 2 + (np.abs(t).max() + np.abs(s).max()) / ps)
-    reach = (radius + math.sqrt(2.0) + tol) * ps
+    reach = (radius + math.sqrt(2.0) + _slack(s, t, ps, size)) * ps
     half = np.sqrt(np.maximum(reach * reach - t * t, 0.0))
     hit = np.abs(t) <= reach
     first = np.searchsorted(s, np.where(hit, -half, np.inf), side="left")
@@ -292,7 +318,10 @@ def forward_project(img, geom):
     ``_PAD``-pixel zero border and sample coordinates are clipped to
     ``[-_PAD, H]``, so corners off the image read an exact 0 with no bounds
     masks; the four corners are flat ``take``s at offsets 0, 1, row and
-    row + 1.
+    row + 1. When every kept sample lies inside that square in every view
+    (``_needs_clip``), the clip would change nothing and is skipped: so it
+    is for every simulated phantom, whose body disk lies well inside its
+    grid, but not for an image whose support reaches the grid corners.
 
     Only the samples in each ray's window (``_support_window``) are
     computed. A skipped sample reads only exact zeros, +0.0 or -0.0, and
@@ -310,8 +339,12 @@ def forward_project(img, geom):
     small image, or a part of one view of a large one. The chunks run on
     ``_run``'s threads, each with its own scratch; each chunk writes its own
     block of the sinogram, so the bits do not depend on the thread count.
-    At 128x128 a phantom marches 29% of the samples, and an image whose
-    support reaches the grid corners 78%."""
+    Every chunk of a group writes the same row positions, so a thread's
+    rows stay zero elsewhere and are zeroed again only when it moves to
+    another group: never for a single-group projection such as a 64x64 or
+    128x128 phantom's, once per chunk when, as at 512x512, each view holds
+    several groups. At 128x128 a phantom marches 29% of the samples, and an
+    image whose support reaches the grid corners 78%."""
     if img.unit != MU_PER_MM:
         raise UnitError(f"forward_project expects attenuation input, got {img.unit!r}")
     H, W = img.grid.shape
@@ -337,6 +370,7 @@ def forward_project(img, geom):
     values = np.zeros((geom.n_views, geom.n_detectors), dtype=np.float64)
 
     first, count = _support_window(s, t, ps, img.grid)
+    clip = _needs_clip(s, t, ps, first, count, H)
     live = np.flatnonzero(count)
     per_view = int(count.sum())
     groups, views = [], 1
@@ -364,24 +398,30 @@ def forward_project(img, geom):
     chunks = [(slice(v, v + views), g) for v in range(0, len(angles), views) for g in groups]
 
     def march(take):
-        fbuf = None
+        fbuf = last = None
         while (chunk := take()) is not None:
-            vs, (rays, t_kept, s_kept, at) = chunk
+            vs, group = chunk
+            rays, t_kept, s_kept, at = group
             tt, st = t_trig[:, vs], s_trig[:, vs]
             nv, m = tt.shape[1], len(t_kept)
             if fbuf is None:  # this thread's scratch
                 fbuf, kbuf = np.empty((7, longest)), np.empty(longest, np.intp)
                 rows = np.zeros((views, width * len(s)))
+            elif group is not last:  # the rows hold another group's kept positions
+                rows.fill(0.0)
+            last = group
             b = fbuf[:, :nv * m].reshape(7, nv, m)
             xy, xy0, g, out = b[0:2], b[2:4], b[4:6], b[6]
             k = kbuf[:nv * m].reshape(nv, m)
             # ray through t*u marching along v = (-sin, cos)
             np.multiply(t_kept, tt, out=xy)
             xy += np.multiply(s_kept, st, out=xy0)
-            xy /= ps
+            if ps != 1.0:
+                xy /= ps
             xy += center
-            np.maximum(xy, -_PAD, out=xy)
-            np.minimum(xy, H, out=xy)
+            if clip:
+                np.maximum(xy, -_PAD, out=xy)
+                np.minimum(xy, H, out=xy)
             np.floor(xy, out=xy0)
             xy -= xy0  # the fractions
             np.subtract(1, xy, out=g)
@@ -391,17 +431,19 @@ def forward_project(img, geom):
             y0 += origin
             k[...] = y0
             w, tmp = x0, y0  # free once k is made
-            out.fill(0.0)
             # every index is in range, so the takes use the unbuffered mode="clip"
-            for c, wy, wx in zip(corners, (gy, gy, y, y), (gx, x, gx, x)):
+            for i, (c, wy, wx) in enumerate(zip(corners, (gy, gy, y, y), (gx, x, gx, x))):
                 np.multiply(wy, wx, out=w)
                 c.take(k, out=tmp, mode="clip")
                 tmp *= w
-                out += tmp
+                if i:
+                    out += tmp
+                else:  # 0.0 + tmp, as into a zeroed out: -0.0 becomes +0.0
+                    np.add(tmp, 0.0, out=out)
             full = rows[:nv, :(rays.stop - rays.start) * len(s)]
-            full[:, at] = out
+            for v in range(nv):
+                full[v][at] = out[v]
             values[vs, rays] = full.reshape(nv, -1, len(s)).sum(axis=-1) * step
-            full.fill(0.0)
 
     _run(march, chunks)
     return Sinogram(values=values, geometry=geom)
@@ -481,26 +523,34 @@ def _backproject(filtered, geom):
     bitwise that part's own backprojection). Each pixel depends only on its
     own coordinates, so bands of image rows run on ``_run``'s threads, each
     band summing all views in order; the bits do not depend on the band
-    count."""
+    count. A band builds the detector positions of ``_SWEEP_VIEWS`` views at
+    a time; a division by a detector spacing of 1.0 is exact and skipped."""
     size = geom.image_size
     n_det = geom.n_detectors
     d = geom.detector_spacing_mm
     coords = (np.arange(size) - (size - 1) / 2.0) * geom.pixel_spacing_mm
     det_index = np.arange(n_det, dtype=np.float64)
     center = (n_det - 1) / 2.0
-    trig = [(math.sin(theta), math.cos(theta)) for theta in geom.angles]
+    sin = np.array([math.sin(theta) for theta in geom.angles])[:, None, None]
+    cos = np.array([math.cos(theta) for theta in geom.angles])[:, None, None]
     recon = np.zeros((size, size), dtype=filtered.dtype)
 
     def sweep(take):
         while (rows := take()) is not None:
             band = recon[rows]
-            idx = np.empty(band.shape)
-            for vi, (sin, cos) in enumerate(trig):
-                np.add(coords[rows, None] * sin, coords * cos, out=idx)
-                idx /= d
-                idx += center
-                band += np.interp(idx.ravel(), det_index, filtered[vi], left=0.0,
-                                  right=0.0).reshape(band.shape)
+            idx = np.empty((min(_SWEEP_VIEWS, len(sin)),) + band.shape)
+            for v in range(0, len(sin), _SWEEP_VIEWS):
+                views = slice(v, v + _SWEEP_VIEWS)
+                # a view's positions are coords[row] * sin + coords * cos, as
+                # each view's own np.add would make them
+                block = idx[:len(sin[views])]
+                np.add(coords[rows, None] * sin[views], coords * cos[views], out=block)
+                if d != 1.0:
+                    block /= d
+                block += center
+                for vi, view in enumerate(block, v):
+                    band += np.interp(view.ravel(), det_index, filtered[vi], left=0.0,
+                                      right=0.0).reshape(band.shape)
 
     n_bands = max(1, min(_THREADS, size // _BAND_ROWS))
     width = -(-size // n_bands)

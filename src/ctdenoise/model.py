@@ -14,10 +14,11 @@ every shape relation intact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
+from .checks import check_field_types
 from .freq import DEFAULT_SIGMA
 from .optim import xavier_init
 from .tensor import (
@@ -41,10 +42,6 @@ HF_FOLD = 16  # space-to-depth factor on the high band
 N_STAGES = 3  # encoder and decoder depth
 INPUT_MULTIPLE = 32  # of input H and W, for the 16-fold high band and 32x texture path
 
-# value types each field annotation accepts (a string: annotations are postponed);
-# bool subclasses int, so __post_init__ accepts a bool only for a bool field
-_FIELD_TYPES = {"int": int, "float": (int, float), "bool": bool, "str": str}
-
 
 @dataclass(frozen=True)
 class ModelConfig:
@@ -59,12 +56,7 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if (not isinstance(value, _FIELD_TYPES[f.type])
-                    or (isinstance(value, bool) and f.type != "bool")):
-                raise TypeError(f"{f.name} must be {f.type}, got "
-                                f"{type(value).__name__} {value!r}")
+        check_field_types(self)
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
         for base in (64, 128, 256):

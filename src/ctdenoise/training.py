@@ -19,6 +19,7 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
+from .checks import check_field_types
 from .ctsim import AIR_HU, HU, CtImage, TrainingPair
 from .freq import decompose
 from .metrics import rmse
@@ -54,6 +55,7 @@ class TrainConfig:
     clip_norm: float = 1.0
 
     def __post_init__(self):
+        check_field_types(self)
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:

@@ -81,3 +81,37 @@ class TestTally:
         assert "| latency_ms_p50 (ms) | 11 | 11 |" in text
         assert "parent: correct 2/2 runs, attempted 20, failed 0" in text
         assert "change: correct 2/2 runs, attempted 20, failed 0" in text
+
+
+class TestClaim:
+    def claim(self, parent, change):
+        return ab_bench.check_claim(rows_by_name(pairs_of(parent, change))["latency_ms_p50"])
+
+    def test_met(self):
+        # 9 of 10 pairs won, medians 205 -> 180 against a parent IQR of 10
+        parent = [200, 202, 204, 205, 205, 205, 206, 210, 212, 215]
+        change = [180, 181, 179, 180, 178, 182, 180, 183, 177, 220]
+        met, line = self.claim(parent, change)
+        assert met, line
+        assert line.startswith("claim latency_ms_p50: met: change won 9/10 pairs")
+
+    def test_too_few_wins(self):
+        parent = [200, 202, 204, 205, 205, 205, 206, 210, 212, 215]
+        change = [180, 181, 179, 180, 178, 182, 180, 183, 230, 220]
+        met, line = self.claim(parent, change)
+        assert not met
+        assert "won 8/10 pairs (under 9/10 needed)" in line
+
+    def test_ties_count_for_neither(self):
+        # two tied pairs stay in the count of pairs run: 8 wins of 10
+        met, line = self.claim([200] * 10, [150] * 8 + [200] * 2)
+        assert not met
+        assert "won 8/10 pairs (under 9/10 needed)" in line
+
+    def test_difference_inside_the_iqr(self):
+        # every pair won, but by less than the parent's own spread
+        parent = [180, 190, 200, 210, 220, 180, 190, 200, 210, 220]
+        change = [p - 5 for p in parent]
+        met, line = self.claim(parent, change)
+        assert not met
+        assert "won 10/10" in line and "(not more than the IQR)" in line

@@ -15,12 +15,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ctdenoise import ctsim
 from ctdenoise.model import ModelConfig, build_model
 from ctdenoise.tensor import Tensor, tsum
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 sys.path.insert(0, str(PERFBENCH))
-from tracer import LEAF_OPS, OPAQUE, STAGES, TIMED, Tracer  # noqa: E402
+from tracer import LEAF_OPS, OPAQUE, STAGES, TIMED, Patcher, Tracer  # noqa: E402
 
 STAGES_OF = {
     "full": STAGES,
@@ -71,3 +72,26 @@ def test_workload_patches_are_found():
 def test_every_patched_function_exists(module, name):
     mod = importlib.import_module(f"ctdenoise.{module}")
     assert callable(getattr(mod, name, None)), f"ctdenoise.{module}.{name}"
+
+
+def test_simulate128_probes_see_every_pair():
+    # simulate128 times each pair by patching ctsim.simulate_pair by name,
+    # and checks each pair against the phantom that call returns; the
+    # tracer times the projector and the noise by name
+    phantoms = []
+
+    def probe(orig):
+        def simulate_pair(*args, **kwargs):
+            pair, phantom = orig(*args, **kwargs)
+            phantoms.append(phantom)
+            return pair, phantom
+        return simulate_pair
+
+    with Tracer() as tracer, Patcher() as patcher:
+        patcher.patch_function(ctsim, "simulate_pair", probe)
+        pairs = ctsim.make_dataset(2, 64, ctsim.DoseConfig(), seed=0, workers=1)
+    assert len(pairs) == len(phantoms) == 2
+    assert all(ph.grid.shape == (64, 64) and ph.unit == ctsim.HU for ph in phantoms)
+    assert tracer.totals["ctsim.forward_project.ms"] > 0
+    assert tracer.totals["ctsim.insert_poisson_noise.ms"] > 0
+    assert tracer.patcher.leftovers == patcher.leftovers == []

@@ -156,6 +156,19 @@ class TestGeometry:
         with pytest.raises(ValueError, match=field):
             ScanGeometry(**{field: value})
 
+    @pytest.mark.parametrize("field, value", [
+        ("n_views", 36.0), ("n_views", True), ("n_detectors", np.float64(91.0)),
+        ("image_size", "64"), ("pixel_spacing_mm", False),
+    ])
+    def test_rejects_wrong_type(self, field, value):
+        # a float n_views used to build, and then fail in forward_project
+        with pytest.raises(TypeError, match=f"^{field} must be "):
+            ScanGeometry(**{field: value})
+
+    def test_float_fields_take_ints(self):
+        geom = ScanGeometry(detector_spacing_mm=1, pixel_spacing_mm=2)
+        assert (geom.detector_spacing_mm, geom.pixel_spacing_mm) == (1, 2)
+
 
 def direct_projection(grid, geom, ps):
     """Per-sample bilinear line integrals with explicit bounds checks: the
@@ -428,6 +441,54 @@ class TestSampleWindows:
             assert values.tobytes() == np.zeros_like(values).tobytes()
         else:
             assert values.max() > 0
+
+
+def kept_samples(grid, spacing):
+    """The kept samples' ray coordinates (t, s), from the windows."""
+    size = grid.shape[0]
+    s, t = ray_samples(size, spacing), default_geometry(size, spacing).detector_positions
+    first, count = ctsim._support_window(s, t, spacing, grid)
+    return np.repeat(t, count), s[np.concatenate([np.arange(f, f + c)
+                                                   for f, c in zip(first, count)])]
+
+
+def clip_edge_grids(size, spacing):
+    """The two one-pixel grids whose farthest kept sample lies closest to
+    (size + 1) / 2 pixels from the grid centre, inside and outside, among
+    the pixels of one octant."""
+    limit, best = (size + 1) / 2, {}
+    for r in range(size // 2, size):
+        for c in range(r, size):
+            grid = np.zeros((size, size))
+            grid[r, c] = 1.0
+            far = np.hypot(*kept_samples(grid, spacing)).max() / spacing
+            side = far > limit
+            if side not in best or abs(far - limit) < best[side][0]:
+                best[side] = (abs(far - limit), grid)
+    return best[False][1], best[True][1]
+
+
+class TestClipRule:
+    """The projector skips its coordinate clip when every kept sample lies
+    within (size + 1) / 2 pixels of the grid centre."""
+
+    @pytest.mark.parametrize("size", [33, 64])
+    @pytest.mark.parametrize("spacing", [0.7, 1.3])
+    def test_one_pixel_just_inside_and_just_outside(self, size, spacing):
+        inside, outside = clip_edge_grids(size, spacing)
+        geom = default_geometry(size, spacing, n_views=360)
+        s, t = ray_samples(size, spacing), geom.detector_positions
+        for grid, clip in ((inside, False), (outside, True)):
+            first, count = ctsim._support_window(s, t, spacing, grid)
+            assert ctsim._needs_clip(s, t, spacing, first, count, size) == clip
+            assert_projects_like_full_rows(grid, geom, spacing)
+        # unclipped, every kept coordinate still lies in [-_PAD, size]
+        tk, sk = kept_samples(inside, spacing)
+        center = (size - 1) / 2.0
+        for theta in geom.angles:
+            for v in ((tk * math.cos(theta) - sk * math.sin(theta)) / spacing + center,
+                      (tk * math.sin(theta) + sk * math.cos(theta)) / spacing + center):
+                assert -ctsim._PAD <= v.min() and v.max() <= size
 
 
 class TestPoissonNoise:

@@ -100,6 +100,15 @@ class TestLrSchedule:
         with pytest.raises(ValueError, match="clip_norm"):
             TrainConfig(clip_norm=-1.0)
 
+    @pytest.mark.parametrize("field, value", [("epochs", 2.5), ("batch_size", True),
+                                              ("seed", 1.0), ("clip_norm", "1")])
+    def test_field_types_checked(self, field, value):
+        with pytest.raises(TypeError, match=f"^{field} must be "):
+            TrainConfig(**{field: value})
+
+    def test_float_fields_take_ints(self):
+        assert TrainConfig(clip_norm=1).clip_norm == 1
+
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_settings_rejected(self, value):
         # nan < 0 is false, so a plain range check lets nan through and a

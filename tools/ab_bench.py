@@ -19,6 +19,11 @@ spread is wider than the bound and not every run of the change beats
 every run of the parent, else ``ok``. Then
 ``correct``, ``attempted`` and ``failed`` for each side.
 ``--out`` appends one JSON line per run.
+
+``--claim METRIC`` then prints whether the change may claim a gain on that
+end-to-end metric: it must win at least nine tenths of the pairs, ties
+counting for neither, and its median must be better than the parent's by
+more than the parent's quartile spread.
 """
 
 from __future__ import annotations
@@ -91,8 +96,27 @@ def summarize(pairs, end_to_end):
         rows.append({"name": name, "unit": spec.get("unit", ""), "n": len(both),
                      "parent_median": p_med, "change_median": c_med,
                      "parent_iqr": spread, "won": won, "lost": lost,
-                     "bound": bound, "verdict": verdict})
+                     "bound": bound, "verdict": verdict,
+                     "better_by": -worse_by})
     return rows
+
+
+def check_claim(row):
+    """Whether the summary ``row`` of one metric supports claiming a gain,
+    and a line that says so with its numbers: the change must win at least
+    9 of every 10 pairs, and its median must be better than the parent's by
+    more than the parent's quartile spread."""
+    wins_ok = 10 * row["won"] >= 9 * row["n"]
+    gap_ok = row["better_by"] > row["parent_iqr"]
+    met = wins_ok and gap_ok
+    unit = row["unit"]
+    return met, (f"claim {row['name']}: {'met' if met else 'NOT met'}: "
+                 f"change won {row['won']}/{row['n']} pairs "
+                 f"({'' if wins_ok else 'under '}9/10 needed); medians "
+                 f"{row['parent_median']:.4g} -> {row['change_median']:.4g} {unit}, "
+                 f"better by {row['better_by']:.4g} {unit} against a parent IQR of "
+                 f"{row['parent_iqr']:.4g} {unit}"
+                 f"{'' if gap_ok else ' (not more than the IQR)'}")
 
 
 def tally(pairs):
@@ -133,10 +157,14 @@ def main(argv=None):
     ap.add_argument("--seconds", type=float, default=20.0)
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--out", type=Path)
+    ap.add_argument("--claim", metavar="METRIC",
+                    help="end-to-end metric on which the change claims a gain")
     args = ap.parse_args(argv)
     if args.pairs < 1:
         ap.error("--pairs must be >= 1")
     end_to_end = json.loads((args.parent / "BENCHMARK.json").read_text())["end_to_end"]
+    if args.claim and args.claim not in {spec["name"] for spec in end_to_end}:
+        ap.error(f"--claim {args.claim!r} is not an end-to-end metric of BENCHMARK.json")
     checkouts = {"parent": args.parent, "change": args.change}
 
     pairs = []
@@ -152,6 +180,12 @@ def main(argv=None):
         pairs.append(pair)
         print(f"pair {i + 1}/{args.pairs} done (seed {seed})", file=sys.stderr, flush=True)
     print(format_report(args.workload, pairs, end_to_end))
+    if args.claim:
+        rows = {r["name"]: r for r in summarize(pairs, end_to_end)}
+        if args.claim not in rows:
+            print(f"claim {args.claim}: NOT met: no pair reports it on both sides")
+        else:
+            print(check_claim(rows[args.claim])[1])
     return 0
 
 
