@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import logging
-import os
 import sys
 from pathlib import Path
 
@@ -33,20 +32,6 @@ from .training import (
 )
 
 log = logging.getLogger(__name__)
-
-THREADS_ENV = "TRANSCT_THREADS"
-
-
-def _workers():
-    raw = os.environ.get(THREADS_ENV, "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ConfigError(f"{THREADS_ENV} must be an integer, got {raw!r}") from None
-    if n < 1:
-        raise ConfigError(f"{THREADS_ENV} must be >= 1, got {n}")
-    return n
-
 
 def _resolve_config(args, fallback=None):
     """Defaults, then ``--config`` (or else ``fallback``), then command-line overrides."""
@@ -80,7 +65,6 @@ def cmd_simulate(args):
         seed=cfg["data.seed"],
         geom=geom,
         n_ellipses=cfg["data.n_ellipses"],
-        workers=_workers(),
     )
     manifest = dict(cfg.values)
     manifest.update(

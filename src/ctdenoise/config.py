@@ -136,7 +136,11 @@ def load_run_config(path=None, overrides=None):
         p = Path(path)
         if not p.exists():
             raise ConfigError(f"config file not found: {p}")
-        values.update(parse_config_text(p.read_text(), source=str(p)))
+        try:
+            text = p.read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{p}: config file is not UTF-8 text: {exc}") from None
+        values.update(parse_config_text(text, source=str(p)))
     if overrides:
         for key in overrides:
             if key not in SCHEMA:

@@ -20,9 +20,10 @@ its full-length sample row, with exact zeros where the skipped samples
 were, so the sinograms are bitwise those of marching every sample. Each
 thread keeps its full-length rows zero between chunks: every chunk of a
 group of rays writes the same positions, so only a thread that moves to
-another group zeroes them again. The clip that keeps the samples' bilinear
-corners in the zero border is skipped when the support disk lies inside
-the bordered grid, as every simulated phantom's does.
+another group zeroes them again. The zero border around the grid is sized
+from the support disk, so every bilinear corner of a marched sample lies in
+it and no coordinate is ever clipped; a phantom, whose disk lies well inside
+its grid, keeps the 2-pixel minimum.
 
 FBP filters each sinogram in place, a chunk of views at a time: the
 zero-padded spectra are multiplied by the ramp and inverse transformed in
@@ -220,7 +221,7 @@ def mu_to_hu(img):
 # -- projection ----------------------------------------------------------
 
 
-_PAD = 2  # zero border: every corner of a clipped sample lands in it
+_PAD = 2  # the projector's least zero border, in pixels
 _CHUNK_SAMPLES = 30_000  # kept samples per chunk: enough for numpy to run mostly without the GIL
 _CHUNK_ROWS = 2 * _CHUNK_SAMPLES  # full-row elements per chunk, for a support far inside the grid
 _BAND_ROWS = 32  # image rows per backprojection band below which threads do not pay
@@ -273,23 +274,12 @@ def _slack(s, t, ps, size):
     return 16 * math.ulp(1.0) * (2 * size + 2 + (np.abs(t).max() + np.abs(s).max()) / ps)
 
 
-def _needs_clip(s, t, ps, first, count, size):
-    """Whether a kept sample (``_support_window``) can leave ``[-_PAD, size]``
-    in some view, so that the projector must clip its coordinates. A
-    sample's coordinates lie within its distance from the grid centre of
-    ``(size - 1) / 2``, so none leaves when the farthest kept sample, with
-    the rounding ``_slack``, is at most ``(size + 1) / 2`` pixels from it.
-    Along a ray the samples are sorted, so the farthest is a window end."""
-    live = np.flatnonzero(count)
-    ends = np.maximum(np.abs(s[first[live]]), np.abs(s[first[live] + count[live] - 1]))
-    far = np.hypot(t[live], ends).max(initial=0.0) / ps
-    return far + _slack(s, t, ps, size) > (size + 1) / 2
-
-
 def _support_window(s, t, ps, grid):
     """Per-ray run of sample indices that holds every sample which can read
     a nonzero pixel of ``grid`` (NaN and inf count, -0.0 does not). Returns
-    ``first`` and ``count``, one pair per ray, shared by every view.
+    ``first`` and ``count``, one pair per ray, shared by every view, and
+    ``pad``, a zero border in pixels that holds every bilinear corner of
+    every sample in the runs.
 
     A bilinear sample reads only corners within sqrt(2) pixels of itself,
     the corner whose weight is exactly 0 included. So a sample farther than
@@ -297,17 +287,24 @@ def _support_window(s, t, ps, grid):
     largest distance from the centre to a nonzero pixel, reads only exact
     zeros. In ray coordinates that disk is ``|s| <= sqrt(reach**2 - t**2)``
     whatever the view angle, and a ray with ``|t| > reach`` keeps nothing;
-    an all-zero grid keeps no sample. The disk is widened by ``_slack``."""
+    an all-zero grid keeps no sample and has a ``reach`` of -inf. The disk
+    is widened by ``_slack``. A kept sample's coordinates lie within
+    ``reach`` pixels, and their rounding, of the grid centre, so its corners
+    lie at most ``reach + slack - center`` pixels outside the grid: ``pad``
+    is that, rounded up, on top of ``_PAD``."""
     size = grid.shape[0]
     center = (size - 1) / 2.0
+    slack = _slack(s, t, ps, size)
     yy, xx = np.nonzero(grid)
     radius = np.hypot(yy - center, xx - center).max(initial=-np.inf)
-    reach = (radius + math.sqrt(2.0) + _slack(s, t, ps, size)) * ps
+    reach = radius + math.sqrt(2.0) + slack  # pixels
+    pad = _PAD + math.ceil(max(0.0, reach + slack - center))
+    reach *= ps  # mm, as s and t
     half = np.sqrt(np.maximum(reach * reach - t * t, 0.0))
     hit = np.abs(t) <= reach
     first = np.searchsorted(s, np.where(hit, -half, np.inf), side="left")
     stop = np.searchsorted(s, np.where(hit, half, -np.inf), side="right")
-    return first, np.maximum(stop - first, 0)
+    return first, np.maximum(stop - first, 0), pad
 
 
 def forward_project(img, geom):
@@ -315,13 +312,19 @@ def forward_project(img, geom):
     with bilinear interpolation at half-pixel steps. Output units mu*mm.
 
     The image is zero outside its grid. The grid sits in a buffer with a
-    ``_PAD``-pixel zero border and sample coordinates are clipped to
-    ``[-_PAD, H]``, so corners off the image read an exact 0 with no bounds
-    masks; the four corners are flat ``take``s at offsets 0, 1, row and
-    row + 1. When every kept sample lies inside that square in every view
-    (``_needs_clip``), the clip would change nothing and is skipped: so it
-    is for every simulated phantom, whose body disk lies well inside its
-    grid, but not for an image whose support reaches the grid corners.
+    zero border wide enough to hold every corner of every kept sample
+    (``_support_window``'s ``pad``: ``_PAD`` pixels for a phantom, whose
+    body disk lies well inside its grid, and more for an image whose
+    support reaches the grid corners), so corners off the image read an
+    exact +0.0 with no bounds masks and no clip; the four corners are flat
+    ``take``s at offsets 0, 1, row and row + 1. The first corner's product
+    starts the sample's sum, so a sample whose four products are all -0.0
+    (a -0.0 pixel, or a negative one of weight 0) sums to -0.0, where a sum
+    started at +0.0 would give +0.0. That changes no ray: a ray's last
+    sample lies at least H / sqrt(2) pixels from the grid centre, beyond
+    the square of pixel centres, so one of its corners reads the border's
+    +0.0 and its sum cannot be -0.0; or it is not kept, and its row
+    position holds +0.0. A row that holds a +0.0 does not sum to -0.0.
 
     Only the samples in each ray's window (``_support_window``) are
     computed. A skipped sample reads only exact zeros, +0.0 or -0.0, and
@@ -357,11 +360,6 @@ def forward_project(img, geom):
     if ps != geom.pixel_spacing_mm:
         raise ValueError(f"forward_project got pixel spacing {ps} mm for a geometry of "
                          f"pixel_spacing_mm {geom.pixel_spacing_mm}")
-    row = H + 2 * _PAD
-    flat = np.pad(img.grid.astype(np.float64), _PAD).ravel()
-    corners = (flat, flat[1:], flat[row:], flat[row + 1:])  # (0,0) (0,1) (1,0) (1,1)
-    origin = _PAD * (row + 1)  # flat index of pixel (0, 0)
-
     step = 0.5 * ps
     half_len = 0.5 * math.sqrt(2.0) * H * ps
     s = np.arange(-half_len, half_len + step, step)
@@ -369,8 +367,11 @@ def forward_project(img, geom):
     center = (H - 1) / 2.0
     values = np.zeros((geom.n_views, geom.n_detectors), dtype=np.float64)
 
-    first, count = _support_window(s, t, ps, img.grid)
-    clip = _needs_clip(s, t, ps, first, count, H)
+    first, count, pad = _support_window(s, t, ps, img.grid)
+    row = H + 2 * pad
+    flat = np.pad(img.grid.astype(np.float64), pad).ravel()
+    corners = (flat, flat[1:], flat[row:], flat[row + 1:])  # (0,0) (0,1) (1,0) (1,1)
+    origin = pad * (row + 1)  # flat index of pixel (0, 0)
     live = np.flatnonzero(count)
     per_view = int(count.sum())
     groups, views = [], 1
@@ -419,9 +420,6 @@ def forward_project(img, geom):
             if ps != 1.0:
                 xy /= ps
             xy += center
-            if clip:
-                np.maximum(xy, -_PAD, out=xy)
-                np.minimum(xy, H, out=xy)
             np.floor(xy, out=xy0)
             xy -= xy0  # the fractions
             np.subtract(1, xy, out=g)
@@ -431,15 +429,17 @@ def forward_project(img, geom):
             y0 += origin
             k[...] = y0
             w, tmp = x0, y0  # free once k is made
-            # every index is in range, so the takes use the unbuffered mode="clip"
-            for i, (c, wy, wx) in enumerate(zip(corners, (gy, gy, y, y), (gx, x, gx, x))):
+            # the border holds every corner, so the takes use the unbuffered
+            # mode="clip"; the first corner starts out (a -0.0 there changes no
+            # ray's sum, see above)
+            np.multiply(gy, gx, out=w)
+            corners[0].take(k, out=out, mode="clip")
+            out *= w
+            for c, wy, wx in zip(corners[1:], (gy, y, y), (x, gx, x)):
                 np.multiply(wy, wx, out=w)
                 c.take(k, out=tmp, mode="clip")
                 tmp *= w
-                if i:
-                    out += tmp
-                else:  # 0.0 + tmp, as into a zeroed out: -0.0 becomes +0.0
-                    np.add(tmp, 0.0, out=out)
+                out += tmp
             full = rows[:nv, :(rays.stop - rays.start) * len(s)]
             for v in range(nv):
                 full[v][at] = out[v]

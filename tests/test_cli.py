@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import MALFORMED_HEADERS, write_header_only_checkpoint
-from ctdenoise.cli import THREADS_ENV, main
+from ctdenoise.cli import main
 from ctdenoise.config import parse_config_text
 from ctdenoise.ctsim import load_dataset
 from ctdenoise.model import ModelConfig, build_model, count_parameters
@@ -109,21 +109,12 @@ class TestSimulate:
         assert f"{cfg}:3: bad value for data.i0" in capsys.readouterr().err
         assert not (tmp_path / "d").exists()
 
-    def test_thread_env_validation(self, workspace, monkeypatch, capsys):
-        cfg = workspace / "run.cfg"
-        for bad in ("abc", "0"):
-            monkeypatch.setenv(THREADS_ENV, bad)
-            code = main(["simulate", "--config", str(cfg), "--out", str(workspace / "d2")])
-            assert code == 2
-            assert THREADS_ENV in capsys.readouterr().err
-
-    def test_parallel_workers_match_serial(self, workspace, tmp_path, monkeypatch):
-        cfg = workspace / "run.cfg"
-        monkeypatch.setenv(THREADS_ENV, "3")
-        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "par")]) == 0
-        a = read_tensor(workspace / "data" / "pairs" / "1" / "ld.tct")
-        b = read_tensor(tmp_path / "par" / "pairs" / "1" / "ld.tct")
-        assert np.array_equal(a, b)
+    def test_config_not_utf8(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"data.n_pairs = 2\n\xff\xfe = 3\n")
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "d")]) == 2
+        assert f"{cfg}: config file is not UTF-8" in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
 
 
 class TestDecompose:
@@ -406,6 +397,15 @@ class TestEval:
         assert capsys.readouterr().out.splitlines()[0] == (
             "3 pairs (reference: normal dose; the last 2 held out by "
             "train.val_pairs, the first 1 trained on)")
+
+    def test_run_cfg_not_utf8(self, workspace, tmp_path, capsys):
+        # the run.cfg read next to the checkpoint is named like a --config file
+        shutil.copy(workspace / "model" / "checkpoint.tck", tmp_path)
+        (tmp_path / "run.cfg").write_bytes(b"train.val_pairs = \xff\n")
+        code = main(["eval", "--checkpoint", str(tmp_path / "checkpoint.tck"),
+                     "--data", str(workspace / "data")])
+        assert code == 2
+        assert f"{tmp_path / 'run.cfg'}: config file is not UTF-8" in capsys.readouterr().err
 
     def test_dataset_train_would_refuse(self, workspace, tmp_path, capsys):
         # one pair at the default val_pairs = 1 leaves train nothing to fit

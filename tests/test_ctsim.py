@@ -387,8 +387,8 @@ class TestSampleWindows:
     GEOM = default_geometry(128)
 
     def counts(self, grid):
-        first, count = ctsim._support_window(ray_samples(128, 1.0), self.GEOM.detector_positions,
-                                             1.0, grid)
+        first, count, _ = ctsim._support_window(ray_samples(128, 1.0),
+                                                self.GEOM.detector_positions, 1.0, grid)
         # one run per detector, shared by every view
         assert first.shape == count.shape == (self.GEOM.n_detectors,)
         return count
@@ -412,7 +412,7 @@ class TestSampleWindows:
         center = (size - 1) / 2.0
         for seed in range(5):
             grid = hu_to_mu(make_phantom(seed, size, pixel_spacing_mm=spacing)).grid
-            first, count = ctsim._support_window(s, t, spacing, grid)
+            first, count, _ = ctsim._support_window(s, t, spacing, grid)
             assert count.sum() > 0
             tk = np.repeat(t, count)
             sk = s[np.concatenate([np.arange(f, f + c) for f, c in zip(first, count)])]
@@ -444,51 +444,87 @@ class TestSampleWindows:
 
 
 def kept_samples(grid, spacing):
-    """The kept samples' ray coordinates (t, s), from the windows."""
+    """The kept samples' ray coordinates (t, s), from the windows, and the
+    projector's zero border."""
     size = grid.shape[0]
     s, t = ray_samples(size, spacing), default_geometry(size, spacing).detector_positions
-    first, count = ctsim._support_window(s, t, spacing, grid)
+    first, count, pad = ctsim._support_window(s, t, spacing, grid)
     return np.repeat(t, count), s[np.concatenate([np.arange(f, f + c)
-                                                   for f, c in zip(first, count)])]
+                                                   for f, c in zip(first, count)])], pad
 
 
 def clip_edge_grids(size, spacing):
     """The two one-pixel grids whose farthest kept sample lies closest to
     (size + 1) / 2 pixels from the grid centre, inside and outside, among
-    the pixels of one octant."""
+    the pixels of one octant: the most a fixed 2-pixel border holds without
+    clipping the samples' coordinates."""
     limit, best = (size + 1) / 2, {}
     for r in range(size // 2, size):
         for c in range(r, size):
             grid = np.zeros((size, size))
             grid[r, c] = 1.0
-            far = np.hypot(*kept_samples(grid, spacing)).max() / spacing
+            tk, sk, _ = kept_samples(grid, spacing)
+            far = np.hypot(tk, sk).max() / spacing
             side = far > limit
             if side not in best or abs(far - limit) < best[side][0]:
                 best[side] = (abs(far - limit), grid)
     return best[False][1], best[True][1]
 
 
+def assert_corners_in_border(grid, geom, spacing):
+    """Every bilinear corner of every kept sample, in every view, lies in
+    the grid with the projector's zero border around it."""
+    size = grid.shape[0]
+    tk, sk, pad = kept_samples(grid, spacing)
+    center = (size - 1) / 2.0
+    for theta in geom.angles:
+        for v in ((tk * math.cos(theta) - sk * math.sin(theta)) / spacing + center,
+                  (tk * math.sin(theta) + sk * math.cos(theta)) / spacing + center):
+            low = np.floor(v)
+            assert -pad <= low.min() and low.max() + 1 <= size - 1 + pad, (theta, pad)
+
+
 class TestClipRule:
-    """The projector skips its coordinate clip when every kept sample lies
-    within (size + 1) / 2 pixels of the grid centre."""
+    """The projector clips no coordinate: its zero border, sized from the
+    support, holds every corner of every kept sample."""
 
     @pytest.mark.parametrize("size", [33, 64])
     @pytest.mark.parametrize("spacing", [0.7, 1.3])
     def test_one_pixel_just_inside_and_just_outside(self, size, spacing):
-        inside, outside = clip_edge_grids(size, spacing)
         geom = default_geometry(size, spacing, n_views=360)
-        s, t = ray_samples(size, spacing), geom.detector_positions
-        for grid, clip in ((inside, False), (outside, True)):
-            first, count = ctsim._support_window(s, t, spacing, grid)
-            assert ctsim._needs_clip(s, t, spacing, first, count, size) == clip
+        for grid in clip_edge_grids(size, spacing):
+            assert_corners_in_border(grid, geom, spacing)
             assert_projects_like_full_rows(grid, geom, spacing)
-        # unclipped, every kept coordinate still lies in [-_PAD, size]
-        tk, sk = kept_samples(inside, spacing)
-        center = (size - 1) / 2.0
-        for theta in geom.angles:
-            for v in ((tk * math.cos(theta) - sk * math.sin(theta)) / spacing + center,
-                      (tk * math.sin(theta) + sk * math.cos(theta)) / spacing + center):
-                assert -ctsim._PAD <= v.min() and v.max() <= size
+
+    @pytest.mark.parametrize("size, spacing", [(33, 1.3), (64, 0.7), (65, 1.0)])
+    def test_grid_filling_image(self, size, spacing):
+        grid = np.random.default_rng(size).uniform(-0.05, 0.05, size=(size, size))
+        assert kept_samples(grid, spacing)[2] > ctsim._PAD
+        geom = default_geometry(size, spacing, n_views=360)
+        assert_corners_in_border(grid, geom, spacing)
+        assert_projects_like_full_rows(grid, geom, spacing)
+
+    @pytest.mark.parametrize("size, spacing", [(32, 1.0), (64, 0.7)])
+    def test_phantom_keeps_the_least_border(self, size, spacing):
+        for seed in range(5):
+            grid = hu_to_mu(make_phantom(seed, size, pixel_spacing_mm=spacing)).grid
+            assert kept_samples(grid, spacing)[2] == ctsim._PAD
+
+    @pytest.mark.parametrize("size, spacing", [(33, 1.3), (64, 0.7)])
+    def test_no_negative_zero_in_the_sinogram(self, size, spacing):
+        # a sample whose four products are all -0.0 (a -0.0 pixel, or a
+        # negative one of weight 0) sums to -0.0, but every ray also holds
+        # a +0.0, so no ray sums to -0.0
+        geom = default_geometry(size, spacing, n_views=12)
+        for value in (-1.0, np.nan):
+            for r, c in ((0, 0), (size // 3, 3 * size // 4)):
+                grid = np.full((size, size), -0.0)
+                grid[r, c] = value
+                assert_projects_like_full_rows(grid, geom, spacing)
+                with np.errstate(invalid="ignore"):
+                    got = forward_project(CtImage(grid, MU_PER_MM, spacing), geom).values
+                zeros = got[got == 0]
+                assert zeros.size and not np.signbit(zeros).any(), (value, r, c)
 
 
 class TestPoissonNoise:
