@@ -221,7 +221,8 @@ def mu_to_hu(img):
 # -- projection ----------------------------------------------------------
 
 
-_PAD = 2  # the projector's least zero border, in pixels
+_PAD = 2  # the projector's least zero border, in pixels: at least 1 for a sample's
+# floor + 1 corner, and 2 so that phantom buffers stay as they were
 _CHUNK_SAMPLES = 30_000  # kept samples per chunk: enough for numpy to run mostly without the GIL
 _CHUNK_ROWS = 2 * _CHUNK_SAMPLES  # full-row elements per chunk, for a support far inside the grid
 _BAND_ROWS = 32  # image rows per backprojection band below which threads do not pay
@@ -289,9 +290,11 @@ def _support_window(s, t, ps, grid):
     whatever the view angle, and a ray with ``|t| > reach`` keeps nothing;
     an all-zero grid keeps no sample and has a ``reach`` of -inf. The disk
     is widened by ``_slack``. A kept sample's coordinates lie within
-    ``reach`` pixels, and their rounding, of the grid centre, so its corners
-    lie at most ``reach + slack - center`` pixels outside the grid: ``pad``
-    is that, rounded up, on top of ``_PAD``."""
+    ``reach`` pixels, and their rounding, of the grid centre, so its
+    coordinates lie at most ``reach + slack - center`` pixels outside the
+    grid and its ``floor + 1`` corners one pixel further: ``pad`` is that
+    first bound, rounded up, on top of ``_PAD``, whose at least 1 pixel
+    covers the second."""
     size = grid.shape[0]
     center = (size - 1) / 2.0
     slack = _slack(s, t, ps, size)

@@ -1,6 +1,6 @@
 """Digests of the simulator's output on fixed cases, for bitwise comparisons.
 
-    python3 tools/sim_digest.py [SRC] [--seed S] [--max-size N]
+    python3 tools/sim_digest.py [SRC] [--max-size N]
 
 prints one ``case sha256`` line per case, computed with the ``ctdenoise``
 package under ``SRC/src`` (default: the checkout holding this script). A
@@ -9,7 +9,7 @@ two checkouts' output:
 
     diff <(python3 tools/sim_digest.py ../parent) <(python3 tools/sim_digest.py .)
 
-The cases, with every seed offset by ``S`` (default 0):
+The cases:
 
 - ``dataset{size}_sp{sp}_s{seed}``: ``make_dataset(2, size, DoseConfig(),
   seed, geom=default_geometry(size, pixel_spacing_mm=sp))``, hashed over
@@ -47,7 +47,8 @@ def _pairs_digest(pairs):
 
 
 def digests(ctsim, seed=0, max_size=None):
-    """``case sha256`` lines from the module ``ctsim``."""
+    """``case sha256`` lines from the module ``ctsim``, with every case's
+    seed offset by ``seed``."""
     def fits(size):
         return max_size is None or size <= max_size
 
@@ -76,7 +77,6 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("src", nargs="?", default=Path(__file__).resolve().parent.parent,
                         type=Path, help="checkout whose src/ctdenoise is run")
-    parser.add_argument("--seed", type=int, default=0, help="offset added to every case's seed")
     parser.add_argument("--max-size", type=int, help="skip cases larger than this")
     args = parser.parse_args(argv)
     package = (args.src / "src").resolve()
@@ -84,7 +84,7 @@ def main(argv=None):
     from ctdenoise import ctsim
     if not Path(ctsim.__file__).resolve().is_relative_to(package):
         parser.error(f"imported ctdenoise from {ctsim.__file__}, not from {package}")
-    print("\n".join(digests(ctsim, args.seed, args.max_size)))
+    print("\n".join(digests(ctsim, 0, args.max_size)))
     return 0
 
 
