@@ -134,7 +134,7 @@ def load_run_config(path=None, overrides=None):
     values = {k: default for k, (_, default) in SCHEMA.items()}
     if path is not None:
         p = Path(path)
-        if not p.exists():
+        if not p.is_file():  # a directory too: reading it would be an OSError
             raise ConfigError(f"config file not found: {p}")
         try:
             text = p.read_text(encoding="utf-8")

@@ -58,7 +58,7 @@ from pathlib import Path
 import numpy as np
 
 from .checks import check_field_types
-from .tctio import read_tensor, write_tensor
+from .tctio import TensorFormatError, read_tensor, write_tensor
 
 HU = "HU"
 MU_PER_MM = "MU_PER_MM"
@@ -672,8 +672,12 @@ def save_dataset(pairs, out_dir, manifest):
 
 
 def load_manifest(path):
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: manifest is not UTF-8 text: {exc}") from None
     entries = {}
-    for raw in Path(path).read_text().splitlines():
+    for raw in text.splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -682,20 +686,50 @@ def load_manifest(path):
     return entries
 
 
+# |HU| beyond this is no CT number (extended scanner scales end near 3e4
+# HU): in a dataset file it is damage, such as a flipped exponent bit, and
+# near 1e23 HU it overflows float32 training
+_MAX_ABS_HU = 1e6
+
+
+def _read_pair_image(path, spacing):
+    """One HU image of a dataset pair; its errors name the file."""
+    try:
+        grid = read_tensor(path)
+    except TensorFormatError as exc:
+        raise TensorFormatError(f"{path}: {exc}") from None
+    if grid.ndim != 2 or not (np.abs(grid) <= _MAX_ABS_HU).all():
+        raise ValueError(f"{path}: not a 2-d image of finite values within "
+                         f"±{_MAX_ABS_HU:g} HU (shape {grid.shape})")
+    return CtImage(grid, HU, spacing)
+
+
 def load_dataset(data_dir):
-    """Read back a dataset directory; returns (pairs, manifest dict)."""
+    """Read back a dataset directory; returns (pairs, manifest dict).
+
+    A damaged dataset raises ``ValueError`` (``TensorFormatError`` for a
+    pair file that is not a tensor) or ``OSError``, naming the file."""
     root = Path(data_dir)
     if not (root / "manifest").exists():
         raise FileNotFoundError(f"no dataset manifest under {root}")
     manifest = load_manifest(root / "manifest")
-    spacing = float(manifest.get("geom.pixel_spacing_mm", 1.0))
+    text = manifest.get("geom.pixel_spacing_mm", "1.0")
+    try:
+        spacing = float(text)
+    except ValueError:
+        spacing = math.nan
+    if not (math.isfinite(spacing) and spacing > 0):
+        raise ValueError(f"{root / 'manifest'}: geom.pixel_spacing_mm must be finite "
+                         f"and > 0, got {text!r}")
     pair_dirs = list((root / "pairs").iterdir())
     for pdir in pair_dirs:
         if not pdir.name.isdecimal():
             raise ValueError(f"dataset {root}: {pdir.name!r} under pairs/ is not a pair index")
     pairs = []
     for pdir in sorted(pair_dirs, key=lambda p: int(p.name)):
-        ld = CtImage(read_tensor(pdir / "ld.tct"), HU, spacing)
-        nd = CtImage(read_tensor(pdir / "nd.tct"), HU, spacing)
-        pairs.append(TrainingPair(ld=ld, nd=nd))
+        ld, nd = (_read_pair_image(pdir / name, spacing) for name in ("ld.tct", "nd.tct"))
+        try:
+            pairs.append(TrainingPair(ld=ld, nd=nd))
+        except ValueError as exc:
+            raise ValueError(f"{pdir}: {exc}") from None
     return pairs, manifest

@@ -365,7 +365,8 @@ def leaky_relu(x, slope=0.2):
         raise ValueError(f"leaky_relu slope must lie in (0,1), got {slope}")
     # for 0 < slope < 1 this equals where(x > 0, x, x * slope) bit for bit,
     # signed zeros, NaN, inf and subnormals included
-    arr = np.maximum(x.data, x.data * x.data.dtype.type(slope))
+    arr = x.data * x.data.dtype.type(slope)
+    np.maximum(x.data, arr, out=arr)
 
     def backward(g):
         one = x.data.dtype.type(1.0)
@@ -405,6 +406,11 @@ def softmax(x, axis=-1):
 # query rows per attention block: 4 heads x 128 rows x 1024 keys of float32
 # scores is 2 MiB, against 16 MiB for all 1024 rows at once
 _ATTENTION_ROWS = 128
+
+# im2col elements per conv2d band without a graph: 1 MiB of float32. Bands
+# this large keep the output bit for bit, since OpenBLAS's sgemm takes
+# another path for much smaller products (a quarter of this changes bits)
+_CONV_COLS = 2**18
 
 
 def attention(q, k, v, n_heads):
@@ -504,27 +510,48 @@ def conv2d(x, weight, bias, stride=1):
     pad = k // 2
     Hp, Wp = H + 2 * pad, W + 2 * pad
     Ho, Wo = -(-H // stride), -(-W // stride)
-    # one zero-padded channels-last copy, then k*k strided slice copies into
-    # (B, Ho, Wo, C, k, k) columns. K stays ordered (C, kh, kw) like the
+    K = C * k * k
+    wmat = weight.data.reshape(Cout, K)
+    # each band of output rows gets a zero-padded channels-last copy of the
+    # input rows it reads, then k*k strided slice copies into (B, rows, Wo,
+    # C, k, k) columns and one GEMM. K stays ordered (C, kh, kw) like the
     # weights: another order changes the GEMM's float32 rounding, and the
-    # 2000-step overfit gate is sensitive to that.
-    xh = np.zeros((B, Hp, Wp, C), dtype=x.data.dtype)
-    xh[:, pad : pad + H, pad : pad + W] = x.data.transpose(0, 2, 3, 1)
-    cols = np.empty((B, Ho, Wo, C, k, k), dtype=x.data.dtype)
-    for i in range(k):
-        for j in range(k):
-            cols[..., i, j] = xh[:, i : i + stride * Ho : stride, j : j + stride * Wo : stride]
-    del xh
-    cols = cols.reshape(B, Ho * Wo, C * k * k)
-    wmat = weight.data.reshape(Cout, C * k * k)
-    out = cols @ wmat.T + bias.data
-    arr = np.ascontiguousarray(out.reshape(B, Ho, Wo, Cout).transpose(0, 3, 1, 2))
+    # 2000-step overfit gate is sensitive to that. With a graph, backward
+    # reads all columns, so one band makes them; without one, a buffer for
+    # the largest band is reused. The bands split Ho evenly, as in
+    # ``attention``, so none is much smaller than the others.
+    keep = _grad_enabled and (x.requires_grad or weight.requires_grad or bias.requires_grad)
+    n_bands = 1 if keep else -(-Ho // max(1, _CONV_COLS // (B * Wo * K)))
+    bounds = [Ho * b // n_bands for b in range(n_bands + 1)]
+    rows = -(-Ho // n_bands)
+    cols = np.empty((B, rows, Wo, C, k, k), dtype=x.data.dtype)
+    prod = np.empty((B, rows * Wo, Cout), dtype=x.data.dtype)
+    arr = np.empty((B, Cout, Ho, Wo), dtype=x.data.dtype)
+    for r0, r1 in zip(bounds[:-1], bounds[1:]):
+        n = r1 - r0
+        # padded input rows [top, top + span) feed output rows [r0, r1)
+        top, span = r0 * stride, (n - 1) * stride + k
+        lo, hi = max(top, pad), min(top + span, pad + H)
+        xh = np.zeros((B, span, Wp, C), dtype=x.data.dtype)
+        rows_in = x.data[:, :, lo - pad : hi - pad].transpose(0, 2, 3, 1)
+        xh[:, lo - top : hi - top, pad : pad + W] = rows_in
+        band = cols[:, :n]
+        for i in range(k):
+            for j in range(k):
+                band[..., i, j] = xh[:, i : i + stride * n : stride, j : j + stride * Wo : stride]
+        del xh
+        out = prod[:, : n * Wo]
+        np.matmul(band.reshape(B, n * Wo, K), wmat.T, out=out)
+        out += bias.data
+        arr[:, :, r0:r1] = out.reshape(B, n, Wo, Cout).transpose(0, 3, 1, 2)
 
     def backward(g):
         gmat = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(B, Ho * Wo, Cout)
         gx = gw = gb = None
         if weight.requires_grad:
-            gw = np.tensordot(gmat, cols, axes=([0, 1], [0, 1])).reshape(weight.data.shape)
+            # a recorded graph made one band, so ``cols`` holds every row
+            gw = np.tensordot(gmat, cols.reshape(B, Ho * Wo, K), axes=([0, 1], [0, 1]))
+            gw = gw.reshape(weight.data.shape)
         if bias.requires_grad:
             gb = g.sum(axis=(0, 2, 3))
         if x.requires_grad:

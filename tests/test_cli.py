@@ -116,6 +116,13 @@ class TestSimulate:
         assert f"{cfg}: config file is not UTF-8" in capsys.readouterr().err
         assert not (tmp_path / "d").exists()
 
+    def test_config_directory_is_a_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfgdir"
+        cfg.mkdir()
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "d")]) == 2
+        assert f"config file not found: {cfg}" in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
+
 
 class TestDecompose:
     def test_band_split_outputs(self, workspace, capsys):
@@ -406,6 +413,14 @@ class TestEval:
                      "--data", str(workspace / "data")])
         assert code == 2
         assert f"{tmp_path / 'run.cfg'}: config file is not UTF-8" in capsys.readouterr().err
+
+    def test_run_cfg_directory(self, workspace, tmp_path, capsys):
+        shutil.copy(workspace / "model" / "checkpoint.tck", tmp_path)
+        (tmp_path / "run.cfg").mkdir()
+        code = main(["eval", "--checkpoint", str(tmp_path / "checkpoint.tck"),
+                     "--data", str(workspace / "data")])
+        assert code == 2
+        assert f"config file not found: {tmp_path / 'run.cfg'}" in capsys.readouterr().err
 
     def test_dataset_train_would_refuse(self, workspace, tmp_path, capsys):
         # one pair at the default val_pairs = 1 leaves train nothing to fit

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
-from ctdenoise import ctsim
+from ctdenoise import ctsim, tctio
 from ctdenoise.ctsim import (
     AIR_HU,
     HU,
@@ -827,6 +827,26 @@ class TestDataset:
         save_dataset(pairs, tmp_path / "ds", {"geom.pixel_spacing_mm": 1.0})
         (tmp_path / "ds" / "pairs" / stray).touch()
         with pytest.raises(ValueError, match=f"ds.*'{stray}'.* not a pair index"):
+            load_dataset(tmp_path / "ds")
+
+    @pytest.mark.parametrize("value", [6.0e23, -2.1e34, np.nan])
+    def test_damaged_pixel_named(self, tmp_path, value):
+        # one flipped exponent bit turns a pixel into such a value
+        pairs = make_dataset(2, 32, DoseConfig(), seed=0, geom=default_geometry(32, n_views=30))
+        save_dataset(pairs, tmp_path / "ds", {"geom.pixel_spacing_mm": 1.0})
+        grid = pairs[1].nd.grid.copy()
+        grid[5, 7] = value
+        tctio.write_tensor(tmp_path / "ds" / "pairs" / "1" / "nd.tct", grid)
+        with pytest.raises(ValueError, match=r"pairs/1/nd\.tct: not a 2-d image of finite"):
+            load_dataset(tmp_path / "ds")
+
+    def test_manifest_errors_named(self, tmp_path):
+        pairs = make_dataset(1, 32, DoseConfig(), seed=0, geom=default_geometry(32, n_views=30))
+        save_dataset(pairs, tmp_path / "ds", {"geom.pixel_spacing_mm": "-1.0"})
+        with pytest.raises(ValueError, match=r"manifest: geom\.pixel_spacing_mm must be finite"):
+            load_dataset(tmp_path / "ds")
+        (tmp_path / "ds" / "manifest").write_bytes(b"geom.pixel_spacing_mm = 1.0\n\xff\n")
+        with pytest.raises(ValueError, match="manifest: manifest is not UTF-8"):
             load_dataset(tmp_path / "ds")
 
 

@@ -2,9 +2,12 @@
 reimplementation so the separable filtering inside the package is never
 trusted to verify itself."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from ctdenoise import metrics
 from ctdenoise.metrics import MetricReport, evaluate_pairs, rmse, ssim, vif
 from ctdenoise.tensor import NonFiniteError, ShapeError
 
@@ -201,6 +204,41 @@ class TestVif:
         flat = np.zeros((64, 64))
         with pytest.raises(ValueError, match="information"):
             vif(flat, flat)
+
+
+class TestBands:
+    """SSIM and VIF filter bands of at most ``_METRIC_ROWS`` valid rows."""
+
+    # at 64x64 the valid rows per VIF scale are 48, 20, 8 and 3, and SSIM's
+    # are 54: bands of 7 leave an uneven last band at the first three VIF
+    # scales and for SSIM, bands of 2 at the fourth
+    @pytest.mark.parametrize("rows", [2, 7])
+    def test_small_bands_match_loop_references(self, monkeypatch, rows):
+        monkeypatch.setattr(metrics, "_METRIC_ROWS", rows)
+        rng = np.random.default_rng(21)
+        ref = textured(22, 64)
+        noisy = ref + rng.normal(0, 4.0, size=ref.shape)
+        dr = float(ref.max() - ref.min())
+        assert ssim(noisy, ref, dr) == pytest.approx(ssim_reference(noisy, ref, dr), abs=1e-10)
+        assert vif(noisy, ref) == pytest.approx(vif_reference(noisy, ref), abs=1e-10)
+
+    @pytest.mark.parametrize("metric", [ssim, vif])
+    def test_512_peak(self, metric):
+        # float32 images, as denoise_image returns them; the two float64
+        # copies the metric scores are 4 MiB of the peak. Whole-image
+        # moments peaked near 19.4 (SSIM) and 19.9 MiB (VIF); bands peak
+        # near 7.5 MiB
+        rng = np.random.default_rng(19)
+        ref = textured(20, 512).astype(np.float32)
+        noisy = (ref + rng.normal(0, 4.0, size=ref.shape)).astype(np.float32)
+        tracemalloc.start()
+        try:
+            score = metric(noisy, ref)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.isfinite(score)
+        assert peak < 9 * 2**20, peak
 
 
 class TestEvaluatePairs:

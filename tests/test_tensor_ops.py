@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from ctdenoise import tensor
 from ctdenoise.tensor import (
     NonFiniteError,
     ShapeError,
@@ -406,6 +407,43 @@ class TestConv2d:
         for stride in (0, 1.0):
             with pytest.raises(ValueError, match="stride must be a positive int"):
                 conv2d(x, w, Tensor(np.zeros(3)), stride=stride)
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_graph_free_bands_match_recording(self, monkeypatch, k, stride):
+        # at most 3 output rows per band: the 13 rows of stride 1 run in
+        # bands of 2, 3, 2, 3 and 3, the 7 rows of stride 2 in 2, 2 and 3
+        rng = np.random.default_rng(17)
+        B, C, H, W = 2, 3, 13, 6
+        x = rng.normal(size=(B, C, H, W)).astype(np.float32)
+        w = rng.normal(size=(4, C, k, k)).astype(np.float32)
+        b = rng.normal(size=4).astype(np.float32)
+        Wo = -(-W // stride)
+        monkeypatch.setattr(tensor, "_CONV_COLS", 3 * B * Wo * C * k * k)
+        recorded = conv2d(*(Tensor(a, requires_grad=True) for a in (x, w, b)), stride=stride)
+        with no_grad():
+            free = conv2d(*(Tensor(a, requires_grad=True) for a in (x, w, b)), stride=stride)
+        assert recorded.requires_grad and not free.requires_grad
+        assert free.shape == recorded.shape == (B, 4, -(-H // stride), Wo)
+        np.testing.assert_allclose(free.data, recorded.data, rtol=1e-5, atol=1e-6)
+        np.testing.assert_allclose(free.data, conv2d_reference(x, w, b, stride),
+                                   rtol=1e-4, atol=1e-5)
+
+    def test_graph_free_peak_below_one_column_buffer(self):
+        rng = np.random.default_rng(18)
+        x = Tensor(rng.normal(size=(1, 16, 128, 128)).astype(np.float32), requires_grad=True)
+        w = Tensor(rng.normal(size=(8, 16, 3, 3)).astype(np.float32), requires_grad=True)
+        b = Tensor(np.zeros(8, np.float32), requires_grad=True)
+        cols_bytes = 128 * 128 * 16 * 9 * 4  # 9 MiB of im2col for the whole image
+        tracemalloc.start()
+        try:
+            with no_grad():
+                out = conv2d(x, w, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (1, 8, 128, 128) and not out.requires_grad
+        assert peak < cols_bytes / 2, peak
 
     def test_channel_mismatch_message_names_shapes(self):
         with pytest.raises(ShapeError, match=r"(1, 2, 4, 4).*(3, 5, 3, 3)"):
