@@ -58,7 +58,7 @@ from pathlib import Path
 import numpy as np
 
 from .checks import check_field_types
-from .tctio import TensorFormatError, read_tensor, write_tensor
+from .tctio import read_tensor, write_tensor
 
 HU = "HU"
 MU_PER_MM = "MU_PER_MM"
@@ -694,10 +694,7 @@ _MAX_ABS_HU = 1e6
 
 def _read_pair_image(path, spacing):
     """One HU image of a dataset pair; its errors name the file."""
-    try:
-        grid = read_tensor(path)
-    except TensorFormatError as exc:
-        raise TensorFormatError(f"{path}: {exc}") from None
+    grid = read_tensor(path)
     if grid.ndim != 2 or not (np.abs(grid) <= _MAX_ABS_HU).all():
         raise ValueError(f"{path}: not a 2-d image of finite values within "
                          f"±{_MAX_ABS_HU:g} HU (shape {grid.shape})")

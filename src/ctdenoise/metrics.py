@@ -39,18 +39,10 @@ def rmse(pred, ref):
 _METRIC_ROWS = 64
 
 
-def _check_room(img, n):
-    if img.shape[0] < n or img.shape[1] < n:
-        raise ShapeError(
-            f"image {img.shape} is smaller than the {n}x{n} filter window"
-        )
-
-
 def _filter_valid(img, kernel, step=1):
     """Separable valid-mode correlation with a 1-d kernel along both axes,
     keeping every ``step``-th output row and column."""
     n = len(kernel)
-    _check_room(img, n)
     rows = sliding_window_view(img, n, axis=1)[:, ::step] @ kernel
     return sliding_window_view(rows, n, axis=0)[::step] @ kernel
 
@@ -61,7 +53,10 @@ def _banded_moments(a, b, win):
     ``_METRIC_ROWS`` valid output rows at a time. A band reads its own
     input rows and the ``len(win) - 1`` after them."""
     n = len(win)
-    _check_room(a, n)
+    if a.shape[0] < n or a.shape[1] < n:
+        raise ShapeError(
+            f"image {a.shape} is smaller than the {n}x{n} filter window"
+        )
     valid = a.shape[0] - n + 1
     for r0 in range(0, valid, _METRIC_ROWS):
         r1 = min(r0 + _METRIC_ROWS, valid) + n - 1

@@ -85,8 +85,12 @@ def write_tensor(path, arr):
 
 
 def read_tensor(path):
+    """The one record a file holds; its errors name the file."""
     buf = Path(path).read_bytes()
-    arr, end = tensor_from_bytes(buf)
-    if end != len(buf):
-        raise TensorFormatError(f"trailing {len(buf) - end} bytes after record at byte {end}")
+    try:
+        arr, end = tensor_from_bytes(buf)
+        if end != len(buf):
+            raise TensorFormatError(f"trailing {len(buf) - end} bytes after record at byte {end}")
+    except TensorFormatError as exc:
+        raise TensorFormatError(f"{path}: {exc}") from None
     return arr

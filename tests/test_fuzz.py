@@ -81,7 +81,7 @@ def test_tensor_file(tmp_path):
     write_tensor(path, np.random.default_rng(1).normal(size=(16, 16)).astype(np.float32))
     raw = path.read_bytes()
     ok = fuzz(path, raw, 400, seed=1, head=16, read=read_tensor, typed=TensorFormatError)
-    assert 0 < ok < 1000
+    assert 0 < ok < 400
 
 
 def test_config_file(tmp_path):
@@ -94,7 +94,7 @@ def test_config_file(tmp_path):
 
     ok = fuzz(tmp_path / "run.cfg", CONFIG.encode(), 400, seed=2, head=len(CONFIG),
               read=read, typed=ConfigError)
-    assert 0 < ok < 1000
+    assert 0 < ok < 400
 
 
 DATASET_CFG = """\

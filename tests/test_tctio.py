@@ -159,6 +159,17 @@ class TestErrors:
         with pytest.raises(TensorFormatError, match="trailing 2 bytes"):
             read_tensor(path)
 
+    @pytest.mark.parametrize("cut, message", [
+        (2, "bad magic at byte 0"),
+        (12, "truncated payload at byte 10: need 8 bytes, have 2"),
+    ])
+    def test_read_tensor_names_the_file(self, tmp_path, cut, message):
+        path = tmp_path / "t.tct"
+        path.write_bytes(tensor_to_bytes(np.zeros(2, dtype=np.float32))[:cut])
+        with pytest.raises(TensorFormatError) as info:
+            read_tensor(path)
+        assert str(info.value) == f"{path}: {message}"
+
     def test_rejects_non_float_dtype(self):
         with pytest.raises(TypeError):
             tensor_to_bytes(np.zeros(3, dtype=np.int32))
