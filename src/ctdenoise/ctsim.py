@@ -4,8 +4,9 @@ Parallel-beam, monochromatic simulation: random ellipse phantoms in HU,
 line integrals by bilinear ray marching (flat gathers from a zero-padded
 copy of the grid, so an image is exactly zero outside its support),
 Poisson photon noise inserted in the projection domain, and filtered back
-projection. Dose pairs reuse one clean sinogram and one noise stream so
-that equal dose fractions reproduce identical images.
+projection. Noise is drawn from an explicit seed; a dose pair reuses one
+clean sinogram and one noise seed, so that equal dose fractions reproduce
+identical images.
 
 The projector marches only the samples within sqrt(2) pixels of the
 image's support, the smallest disk about the grid centre that holds every
@@ -25,13 +26,12 @@ from the support disk, so every bilinear corner of a marched sample lies in
 it and no coordinate is ever clipped; a phantom, whose disk lies well inside
 its grid, keeps the 2-pixel minimum.
 
-FBP filters each sinogram in place, a chunk of views at a time: the
-zero-padded spectra are multiplied by the ramp and inverse transformed in
-one buffer. A dose pair shares its geometry, so its two filtered
-sinograms go into the real and imaginary parts of one complex buffer and
-are backprojected together: one ``np.interp`` per view for both doses.
-``np.interp`` treats the two parts apart and the detector steps are
-exactly 1.0, so each image is bitwise that of its own FBP. The
+``fbp`` takes any number of sinograms of one geometry. It filters each in
+place, a chunk of views at a time, and puts two filtered sinograms into the
+real and imaginary parts of one complex buffer, which is backprojected with
+one ``np.interp`` per view; an odd last one goes in over zeros.
+``np.interp`` treats the two parts apart and the detector steps are exactly
+1.0, so each image is bitwise that of its own real backprojection. The
 interpolation positions of ``_SWEEP_VIEWS`` views are built in one
 broadcast, each element by the products and sums of a view of its own.
 
@@ -52,7 +52,7 @@ import os
 import shutil
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -145,7 +145,6 @@ class DoseConfig:
 
     i0: float = 1e5
     dose_fraction: float = 0.25
-    seed: object = 0
 
     def __post_init__(self):
         if not math.isfinite(self.i0):
@@ -455,9 +454,10 @@ def forward_project(img, geom):
 # -- dose noise ----------------------------------------------------------
 
 
-def insert_poisson_noise(sino, dose):
-    """Photon-count noise: N ~ Poisson(I0*fraction*exp(-p)), then back to
-    line integrals with zero counts clamped to one photon."""
+def insert_poisson_noise(sino, dose, seed):
+    """Photon-count noise: N ~ Poisson(I0*fraction*exp(-p)), drawn from
+    ``np.random.default_rng(seed)``, then back to line integrals with zero
+    counts clamped to one photon."""
     p = np.asarray(sino.values, dtype=np.float64)
     if not np.isfinite(p).all():
         raise ValueError("sinogram contains non-finite values")
@@ -466,7 +466,7 @@ def insert_poisson_noise(sino, dose):
     flux = dose.i0 * dose.dose_fraction
     if flux < 1.0:
         raise ValueError(f"i0 * dose_fraction must be >= 1, got {flux}")
-    rng = np.random.default_rng(dose.seed)
+    rng = np.random.default_rng(seed)
     counts = rng.poisson(flux * np.exp(-p)).astype(np.float64)
     counts = np.maximum(counts, 1.0)
     noisy = -np.log(counts / flux)
@@ -519,11 +519,11 @@ def _filter(values, geom, out):
         np.multiply(spectra.real[:, :n_det], d, out=out[views])
 
 
-def _backproject(filtered, geom):
+def _backproject(packed, geom):
     """Linear-interpolation backprojection, summed view after view and
-    unscaled, of float64 filtered views or of two packed into the real and
-    imaginary parts of complex128 ones (each part of the result is then
-    bitwise that part's own backprojection). Each pixel depends only on its
+    unscaled, of two sinograms' filtered views packed into the real and
+    imaginary parts of complex128 ones; each part of the result is bitwise
+    that part's own real backprojection. Each pixel depends only on its
     own coordinates, so bands of image rows run on ``_run``'s threads, each
     band summing all views in order; the bits do not depend on the band
     count. A band builds the detector positions of ``_SWEEP_VIEWS`` views at
@@ -536,7 +536,7 @@ def _backproject(filtered, geom):
     center = (n_det - 1) / 2.0
     sin = np.array([math.sin(theta) for theta in geom.angles])[:, None, None]
     cos = np.array([math.cos(theta) for theta in geom.angles])[:, None, None]
-    recon = np.zeros((size, size), dtype=filtered.dtype)
+    recon = np.zeros((size, size), dtype=np.complex128)
 
     def sweep(take):
         while (rows := take()) is not None:
@@ -552,7 +552,7 @@ def _backproject(filtered, geom):
                     block /= d
                 block += center
                 for vi, view in enumerate(block, v):
-                    band += np.interp(view.ravel(), det_index, filtered[vi], left=0.0,
+                    band += np.interp(view.ravel(), det_index, packed[vi], left=0.0,
                                       right=0.0).reshape(band.shape)
 
     n_bands = max(1, min(_THREADS, size // _BAND_ROWS))
@@ -561,34 +561,33 @@ def _backproject(filtered, geom):
     return recon
 
 
-def _image(recon, geom):
-    """Scale a backprojection sum by pi/n_views (in place) into an image."""
-    recon *= np.pi / geom.n_views
-    return CtImage(recon.astype(np.float32), MU_PER_MM, geom.pixel_spacing_mm)
-
-
-def fbp(sino, geom):
-    """Filtered back projection: per-view Ram-Lak (band-limited ramp)
-    filtering in the frequency domain, done in place on the zero-padded
-    spectra, then linear-interpolation backprojection scaled by
-    pi/n_views. A sinogram holding NaN or inf is rejected.
-    ``simulate_pair`` backprojects its two doses together (``_fbp_pair``),
-    bitwise as two calls of this."""
-    filtered = np.empty((geom.n_views, geom.n_detectors))
-    _filter(sino.values, geom, filtered)
-    return _image(_backproject(filtered, geom), geom)
-
-
-def _fbp_pair(sino_a, sino_b, geom):
-    """``fbp`` of two sinograms on one geometry, each image bitwise that of
-    ``fbp``, with one backprojection pass. The filtered views are written
-    into the real and imaginary parts of one complex buffer, never summed
-    as ``a + 1j * b``: ``0 * inf`` would make a NaN in the other part."""
+def fbp(*sinograms):
+    """Filtered back projection of sinograms of one geometry, read from the
+    sinograms: per-view Ram-Lak (band-limited ramp) filtering in the
+    frequency domain, then linear-interpolation backprojection scaled by
+    pi/n_views. Returns one image per sinogram, in order. The two parts of
+    the complex buffer are written apart, never summed as ``a + 1j * b``:
+    ``0 * inf`` would make a NaN in the other part. A sinogram holding NaN
+    or inf is rejected."""
+    if not sinograms:
+        raise ValueError("fbp needs at least one sinogram")
+    geom = sinograms[0].geometry
+    if other := [sino.geometry for sino in sinograms if sino.geometry != geom]:
+        raise ValueError(f"fbp got sinograms of different geometries: {geom} and {other[0]}")
     packed = np.empty((geom.n_views, geom.n_detectors), dtype=np.complex128)
-    _filter(sino_a.values, geom, packed.real)
-    _filter(sino_b.values, geom, packed.imag)
-    recon = _backproject(packed, geom)
-    return _image(recon.real, geom), _image(recon.imag, geom)
+    images = []
+    for k in range(0, len(sinograms), 2):
+        two = sinograms[k:k + 2]
+        _filter(two[0].values, geom, packed.real)
+        if len(two) == 2:
+            _filter(two[1].values, geom, packed.imag)
+        else:
+            packed.imag = 0.0
+        recon = _backproject(packed, geom)
+        for part in (recon.real, recon.imag)[:len(two)]:
+            part *= np.pi / geom.n_views
+            images.append(CtImage(part.astype(np.float32), MU_PER_MM, geom.pixel_spacing_mm))
+    return images
 
 
 # -- paired-dose dataset -------------------------------------------------
@@ -624,10 +623,9 @@ def simulate_pair(seed, pair_index, size, dose, geom=None, n_ellipses=6):
                            geom.pixel_spacing_mm)
     sino = forward_project(hu_to_mu(phantom), geom)
     noise_seed = [seed, pair_index, 1]
-    nd_sino = insert_poisson_noise(sino, replace(dose, dose_fraction=1.0, seed=noise_seed))
-    ld_sino = insert_poisson_noise(sino, replace(dose, seed=noise_seed))
-    nd, ld = (_clamp_hu(mu_to_hu(img))
-              for img in _fbp_pair(nd_sino, ld_sino, geom))
+    nd_sino = insert_poisson_noise(sino, replace(dose, dose_fraction=1.0), noise_seed)
+    ld_sino = insert_poisson_noise(sino, dose, noise_seed)
+    nd, ld = (_clamp_hu(mu_to_hu(img)) for img in fbp(nd_sino, ld_sino))
     return TrainingPair(ld=ld, nd=nd), phantom
 
 

@@ -182,11 +182,16 @@ def no_grad():
         _grad_enabled = prev
 
 
+def _records(parents):
+    """Whether an op on ``parents`` records a graph node."""
+    return _grad_enabled and any(p.requires_grad for p in parents)
+
+
 def _result(arr, parents, backward):
     out = Tensor.__new__(Tensor)
     out.data = arr
     out.grad = None
-    out.requires_grad = _grad_enabled and any(p.requires_grad for p in parents)
+    out.requires_grad = _records(parents)
     if out.requires_grad:
         out._parents = tuple(parents)
         out._backward = backward
@@ -449,7 +454,7 @@ def attention(q, k, v, n_heads):
     # with a graph the probabilities backward reads are all kept anyway, so
     # one block computes them; without one, a buffer for the largest block
     # is reused
-    keep = _grad_enabled and (q.requires_grad or k.requires_grad or v.requires_grad)
+    keep = _records((q, k, v))
     n_blocks = 1 if keep else -(-N // _ATTENTION_ROWS)
     bounds = [N * b // n_blocks for b in range(n_blocks + 1)]
     probs = np.empty((B, h, -(-N // n_blocks), M), dtype=qh.dtype)
@@ -520,7 +525,7 @@ def conv2d(x, weight, bias, stride=1):
     # reads all columns, so one band makes them; without one, a buffer for
     # the largest band is reused. The bands split Ho evenly, as in
     # ``attention``, so none is much smaller than the others.
-    keep = _grad_enabled and (x.requires_grad or weight.requires_grad or bias.requires_grad)
+    keep = _records((x, weight, bias))
     n_bands = 1 if keep else -(-Ho // max(1, _CONV_COLS // (B * Wo * K)))
     bounds = [Ho * b // n_bands for b in range(n_bands + 1)]
     rows = -(-Ho // n_bands)

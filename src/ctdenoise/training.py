@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from .checks import check_field_types
-from .ctsim import AIR_HU, HU, CtImage, TrainingPair
+from .ctsim import _MAX_ABS_HU, AIR_HU, HU, CtImage, TrainingPair
 from .freq import decompose
 from .metrics import rmse
 from .model import INPUT_MULTIPLE, ModelConfig, build_model
@@ -258,14 +258,20 @@ def _diverged(what, epoch, ckpt_path):
 
 
 def check_training_pairs(pairs):
-    """Raise unless there is at least one pair and its images' sides are
-    multiples of ``INPUT_MULTIPLE``."""
+    """Raise unless there is at least one pair, its images' sides are
+    multiples of ``INPUT_MULTIPLE`` and every pixel lies within
+    ±``_MAX_ABS_HU``, the bound ``load_dataset`` holds files to."""
     if not pairs:
         raise ValueError("train needs at least one pair")
     H, W = pairs[0].ld.grid.shape
     if H % INPUT_MULTIPLE or W % INPUT_MULTIPLE:
         raise ShapeError(
             f"training patches must be multiples of {INPUT_MULTIPLE}, got {H}x{W}")
+    for i, pair in enumerate(pairs):
+        for side in ("ld", "nd"):
+            if not (np.abs(getattr(pair, side).grid) <= _MAX_ABS_HU).all():
+                raise ValueError(f"training pair {i}: the {side} image holds a pixel "
+                                 f"beyond ±{_MAX_ABS_HU:g} HU")
 
 
 def train(model, pairs, val_pairs, cfg, out_dir):

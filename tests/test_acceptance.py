@@ -270,8 +270,8 @@ def test_criterion_07_dose_statistics():
     geom = default_geometry(64)
     p0 = 1.2
     sino = Sinogram(np.full((100, 100), p0), geom)
-    quarter = cd.insert_poisson_noise(sino, DoseConfig(i0=1e5, dose_fraction=0.25, seed=9))
-    full = cd.insert_poisson_noise(sino, DoseConfig(i0=1e5, dose_fraction=1.0, seed=10))
+    quarter = cd.insert_poisson_noise(sino, DoseConfig(i0=1e5, dose_fraction=0.25), 9)
+    full = cd.insert_poisson_noise(sino, DoseConfig(i0=1e5, dose_fraction=1.0), 10)
     ratio = float((quarter.values - p0).var() / (full.values - p0).var())
     ok = 3.0 <= ratio <= 5.0
     report(7, "quarter-dose projection noise variance", ok,

@@ -77,7 +77,7 @@ def test_every_patched_function_exists(module, name):
 def test_simulate128_probes_see_every_pair():
     # simulate128 times each pair by patching ctsim.simulate_pair by name,
     # and checks each pair against the phantom that call returns; the
-    # tracer times the projector and the noise by name
+    # tracer times the projector, the noise and the FBP by name
     phantoms = []
 
     def probe(orig):
@@ -94,4 +94,5 @@ def test_simulate128_probes_see_every_pair():
     assert all(ph.grid.shape == (64, 64) and ph.unit == ctsim.HU for ph in phantoms)
     assert tracer.totals["ctsim.forward_project.ms"] > 0
     assert tracer.totals["ctsim.insert_poisson_noise.ms"] > 0
+    assert tracer.totals["ctsim.fbp.ms"] > 0
     assert tracer.patcher.leftovers == patcher.leftovers == []

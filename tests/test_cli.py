@@ -26,6 +26,15 @@ def nan_image(path):
     return path
 
 
+def far_image(path, value):
+    """A 64x64 HU image with one pixel at ``value``, a flipped exponent bit
+    away from a CT number."""
+    grid = np.zeros((64, 64), np.float32)
+    grid[10, 20] = value
+    write_tensor(path, grid)
+    return path
+
+
 SMOKE_CFG = """
 data.n_pairs = 3
 data.size = 64
@@ -149,6 +158,13 @@ class TestDecompose:
         assert main(["decompose", "--input", str(src), "--out", str(tmp_path / "o")]) == 1
         assert "NaN or infinite" in capsys.readouterr().err
         assert not (tmp_path / "o" / "low.tct").exists()
+
+    @pytest.mark.parametrize("value", [6e23, 1e30])
+    def test_rejects_impossible_hu(self, tmp_path, capsys, value):
+        src = far_image(tmp_path / "far.tct", value)
+        assert main(["decompose", "--input", str(src), "--out", str(tmp_path / "o")]) == 1
+        assert f"{src}: image holds a pixel beyond ±1e+06 HU" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 class TestTrain:
@@ -337,6 +353,17 @@ class TestDenoise:
                      "--input", str(src), "--out", str(tmp_path / "o.tct")])
         assert code == 1
         assert "decompose: image contains NaN or infinite" in capsys.readouterr().err
+        assert not (tmp_path / "o.tct").exists()
+
+    @pytest.mark.parametrize("value", [6e23, 1e30])
+    def test_impossible_hu_named(self, tmp_path, capsys, value):
+        model = build_model(ModelConfig(width=0.0625, n_heads=2, ffn_mult=2))
+        save_checkpoint(model, tmp_path / "m.tck", 0)
+        src = far_image(tmp_path / "far.tct", value)
+        code = main(["denoise", "--checkpoint", str(tmp_path / "m.tck"),
+                     "--input", str(src), "--out", str(tmp_path / "o.tct")])
+        assert code == 1
+        assert f"{src}: image holds a pixel beyond ±1e+06 HU" in capsys.readouterr().err
         assert not (tmp_path / "o.tct").exists()
 
     def test_checkpoint_config_of_the_wrong_type(self, workspace, tmp_path, capsys):

@@ -531,10 +531,10 @@ class TestPoissonNoise:
     def test_deterministic(self):
         geom = default_geometry(32)
         sino = Sinogram(np.full((360, 47), 1.0), geom)
-        a = insert_poisson_noise(sino, DoseConfig(seed=9))
-        b = insert_poisson_noise(sino, DoseConfig(seed=9))
+        a = insert_poisson_noise(sino, DoseConfig(), 9)
+        b = insert_poisson_noise(sino, DoseConfig(), 9)
         assert np.array_equal(a.values, b.values)
-        c = insert_poisson_noise(sino, DoseConfig(seed=10))
+        c = insert_poisson_noise(sino, DoseConfig(), 10)
         assert not np.array_equal(a.values, c.values)
 
     def test_first_order_moments(self):
@@ -543,8 +543,8 @@ class TestPoissonNoise:
         geom = default_geometry(64)
         p0 = 1.0
         sino = Sinogram(np.full((360, 91), p0), geom)
-        dose = DoseConfig(i0=4e4, dose_fraction=0.25, seed=123)
-        noisy = insert_poisson_noise(sino, dose).values
+        dose = DoseConfig(i0=4e4, dose_fraction=0.25)
+        noisy = insert_poisson_noise(sino, dose, 123).values
         n_expected = dose.i0 * dose.dose_fraction * np.exp(-p0)
         sigma = 1.0 / np.sqrt(n_expected)
         assert abs(noisy.mean() - p0) < 5.0 * sigma / np.sqrt(noisy.size)
@@ -553,15 +553,15 @@ class TestPoissonNoise:
     def test_dose_fraction_raises_variance(self):
         geom = default_geometry(32)
         sino = Sinogram(np.full((360, 47), 1.5), geom)
-        lo = insert_poisson_noise(sino, DoseConfig(i0=1e5, dose_fraction=0.25, seed=1))
-        hi = insert_poisson_noise(sino, DoseConfig(i0=1e5, dose_fraction=1.0, seed=1))
+        lo = insert_poisson_noise(sino, DoseConfig(i0=1e5, dose_fraction=0.25), 1)
+        hi = insert_poisson_noise(sino, DoseConfig(i0=1e5, dose_fraction=1.0), 1)
         ratio = (lo.values - 1.5).var() / (hi.values - 1.5).var()
         assert 3.0 < ratio < 5.0
 
     def test_high_flux_limit(self):
         geom = default_geometry(32)
         sino = Sinogram(np.full((360, 47), 1.0), geom)
-        noisy = insert_poisson_noise(sino, DoseConfig(i0=1e12, dose_fraction=1.0, seed=5))
+        noisy = insert_poisson_noise(sino, DoseConfig(i0=1e12, dose_fraction=1.0), 5)
         assert np.abs(noisy.values - 1.0).max() <= 1e-3
 
     def test_zero_counts_clamped(self):
@@ -569,7 +569,7 @@ class TestPoissonNoise:
         # produce finite line integrals
         geom = default_geometry(32)
         sino = Sinogram(np.full((360, 47), 30.0), geom)
-        noisy = insert_poisson_noise(sino, DoseConfig(i0=100.0, dose_fraction=1.0, seed=0))
+        noisy = insert_poisson_noise(sino, DoseConfig(i0=100.0, dose_fraction=1.0), 0)
         assert np.isfinite(noisy.values).all()
         assert noisy.values.max() <= np.log(100.0) + 1e-12
 
@@ -577,10 +577,10 @@ class TestPoissonNoise:
         geom = default_geometry(32)
         bad = Sinogram(np.full((360, 47), -0.5), geom)
         with pytest.raises(ValueError, match="negative"):
-            insert_poisson_noise(bad, DoseConfig())
+            insert_poisson_noise(bad, DoseConfig(), 0)
         nan = Sinogram(np.full((360, 47), np.nan), geom)
         with pytest.raises(ValueError, match="non-finite"):
-            insert_poisson_noise(nan, DoseConfig())
+            insert_poisson_noise(nan, DoseConfig(), 0)
 
     def test_flux_checked_at_use(self):
         # DoseConfig checks its flux when built; a field lowered afterwards
@@ -589,7 +589,7 @@ class TestPoissonNoise:
         dose = DoseConfig(i0=1e5, dose_fraction=0.25)
         dose.i0 = 2.0
         with pytest.raises(ValueError, match="i0 \\* dose_fraction must be >= 1, got 0.5"):
-            insert_poisson_noise(Sinogram(np.zeros((360, 47)), geom), dose)
+            insert_poisson_noise(Sinogram(np.zeros((360, 47)), geom), dose, 0)
 
     def test_dose_config_validation(self):
         with pytest.raises(ValueError, match="dose_fraction"):
@@ -606,7 +606,7 @@ class TestPoissonNoise:
 def reference_fbp(sino, geom):
     """FBP as one real ``np.interp`` pass per view over coordinates from a
     full meshgrid, filtered out of place: the reconstruction before the
-    packed pair path. ``fbp`` and ``_fbp_pair`` must match it byte for
+    packed complex pass. Every image of ``fbp`` must match it byte for
     byte."""
     values = np.asarray(sino.values, dtype=np.float64)
     d = geom.detector_spacing_mm
@@ -656,7 +656,7 @@ class TestFbp:
         # values are both known in closed form
         geom = default_geometry(64)
         blob = gaussian_blob(64, amplitude=0.02, width=6.0)
-        recon = fbp(forward_project(blob, geom), geom)
+        recon, = fbp(forward_project(blob, geom))
         assert recon.unit == MU_PER_MM
         diff = recon.grid.astype(np.float64) - blob.grid
         assert np.sqrt((diff**2).mean()) / 0.02 < 0.005
@@ -665,7 +665,7 @@ class TestFbp:
     def test_shape_mismatch(self):
         geom = default_geometry(64)
         with pytest.raises(ValueError, match="does not match geometry"):
-            fbp(Sinogram(np.zeros((10, 10)), geom), geom)
+            fbp(Sinogram(np.zeros((10, 10)), geom))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_sinogram_rejected(self, bad):
@@ -673,10 +673,10 @@ class TestFbp:
         values = np.ones((geom.n_views, geom.n_detectors))
         values[7, 11] = bad
         with pytest.raises(ValueError, match="sinogram contains non-finite values"):
-            fbp(Sinogram(values, geom), geom)
+            fbp(Sinogram(values, geom))
         ok = Sinogram(np.ones_like(values), geom)
         with pytest.raises(ValueError, match="sinogram contains non-finite values"):
-            ctsim._fbp_pair(ok, Sinogram(values, geom), geom)
+            fbp(ok, Sinogram(values, geom))
 
     @pytest.mark.parametrize("geom", FBP_GEOMETRIES,
                              ids=lambda g: f"{g.image_size}px{g.pixel_spacing_mm}-"
@@ -688,12 +688,35 @@ class TestFbp:
         zero = Sinogram(np.zeros((geom.n_views, geom.n_detectors)), geom)
         want_a, want_b = reference_fbp(a, geom), reference_fbp(b, geom)
         want_zero = reference_fbp(zero, geom)
-        assert_same_image(fbp(a, geom), want_a)
+        assert_same_image(fbp(a)[0], want_a)
         for pair, want in (((a, b), (want_a, want_b)), ((zero, a), (want_zero, want_a)),
                            ((b, zero), (want_b, want_zero))):
-            got = ctsim._fbp_pair(*pair, geom)
+            got = fbp(*pair)
             assert_same_image(got[0], want[0])
             assert_same_image(got[1], want[1])
+
+    def test_odd_count_bitwise_equal_to_reference(self):
+        # the third sinogram is backprojected alone, over a zero imaginary part
+        geom = FBP_GEOMETRIES[-1]
+        rng = np.random.default_rng(3)
+        sinos = [Sinogram(rng.uniform(0.0, 3.0, (geom.n_views, geom.n_detectors)), geom)
+                 for _ in range(3)]
+        got = fbp(*sinos)
+        assert len(got) == 3
+        for image, sino in zip(got, sinos):
+            assert_same_image(image, reference_fbp(sino, geom))
+
+    def test_geometries_must_agree(self):
+        # both are 360 x 93, so the shape check alone would pass them
+        a, b = default_geometry(64), default_geometry(64, pixel_spacing_mm=0.7)
+        assert (a.n_views, a.n_detectors) == (b.n_views, b.n_detectors)
+        values = np.ones((a.n_views, a.n_detectors))
+        with pytest.raises(ValueError, match="different geometries"):
+            fbp(Sinogram(values, a), Sinogram(values, b))
+
+    def test_needs_a_sinogram(self):
+        with pytest.raises(ValueError, match="at least one sinogram"):
+            fbp()
 
 
 class TestSimulatePair:
@@ -779,8 +802,8 @@ class TestDataset:
         dose = DoseConfig(i0=5e4)
         packed = make_dataset(2, 64, dose, seed=3)
         monkeypatch.setattr(
-            ctsim, "_fbp_pair",
-            lambda a, b, geom: (reference_fbp(a, geom), reference_fbp(b, geom)))
+            ctsim, "fbp",
+            lambda *sinos: [reference_fbp(sino, sino.geometry) for sino in sinos])
         reference = make_dataset(2, 64, dose, seed=3)
         for a, b in zip(packed, reference):
             assert a.ld.grid.tobytes() == b.ld.grid.tobytes()
@@ -889,9 +912,9 @@ class TestThreads:
         with np.errstate(invalid="ignore"):
             sinos = [forward_project(CtImage(g, MU_PER_MM, spacing), geom)
                      for g in [phantom] + special_grids(size)]
-        noisy = insert_poisson_noise(sinos[0], DoseConfig())
-        recon = [fbp(sinos[0], geom).grid, fbp(sinos[1], geom).grid]
-        recon += [img.grid for img in ctsim._fbp_pair(noisy, sinos[0], geom)]
+        noisy = insert_poisson_noise(sinos[0], DoseConfig(), 0)
+        recon = [fbp(sinos[0])[0].grid, fbp(sinos[1])[0].grid]
+        recon += [img.grid for img in fbp(noisy, sinos[0])]
         return [s.values for s in sinos] + recon
 
     @pytest.mark.parametrize("size, spacing, n_views", CASES)
@@ -918,7 +941,7 @@ class TestThreads:
         geom = default_geometry(64, n_views=60)
         phantom = hu_to_mu(make_phantom(0, 64))
         want = forward_project(phantom, geom).values
-        want_image = fbp(Sinogram(want, geom), geom).grid
+        want_image = fbp(Sinogram(want, geom))[0].grid
         threaded(monkeypatch, 6)
         monkeypatch.setattr(ctsim, "_CHUNK_SAMPLES", 2000)
         interval = sys.getswitchinterval()
@@ -927,7 +950,7 @@ class TestThreads:
             for _ in range(3):
                 got = forward_project(phantom, geom).values
                 assert same_bits(got, want)
-                assert same_bits(fbp(Sinogram(got, geom), geom).grid, want_image)
+                assert same_bits(fbp(Sinogram(got, geom))[0].grid, want_image)
         finally:
             sys.setswitchinterval(interval)
 

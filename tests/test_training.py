@@ -631,3 +631,18 @@ class TestTrainLoop:
         model = build_model(ModelConfig(**TINY))
         with pytest.raises(ValueError, match="at least one"):
             train(model, [], [], TrainConfig(epochs=1), tmp_path)
+
+    @pytest.mark.parametrize("side, value", [("ld", 1e22), ("nd", -6e23)])
+    def test_impossible_hu_named(self, tmp_path, side, value):
+        # load_dataset refuses such a pixel in a file; train refuses it from
+        # a caller, before it writes anything
+        model = build_model(ModelConfig(**TINY))
+        img = CtImage(np.zeros((32, 32), dtype=np.float32), HU)
+        grid = img.grid.copy()
+        grid[5, 7] = value
+        pairs = [TrainingPair(ld=img, nd=img),
+                 TrainingPair(**{"ld": img, "nd": img, side: CtImage(grid, HU)})]
+        with pytest.raises(ValueError, match=f"training pair 1: the {side} image holds a "
+                                             "pixel beyond ±1e\\+06 HU"):
+            train(model, pairs, [], TrainConfig(epochs=1), tmp_path / "run")
+        assert not (tmp_path / "run").exists()
