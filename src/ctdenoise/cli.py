@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import ConfigError, RunConfig, load_run_config
-from .ctsim import _MAX_ABS_HU, HU, CtImage, load_dataset, make_dataset, save_dataset
+from .ctsim import HU, MAX_ABS_HU, CtImage, load_dataset, make_dataset, save_dataset
 from .freq import decompose
 from .metrics import evaluate_pairs
 from .model import VARIANTS, build_model, count_parameters
@@ -43,13 +43,13 @@ def _resolve_config(args, fallback=None):
 
 
 def _read_image(path):
-    """A 2-d HU image whose finite pixels lie within ±``_MAX_ABS_HU``; NaN
+    """A 2-d HU image whose finite pixels lie within ±``MAX_ABS_HU``; NaN
     and inf are left to ``decompose``."""
     arr = read_tensor(path)
     if arr.ndim != 2:
         raise ShapeError(f"{path}: expected a 2-d image tensor, got shape {arr.shape}")
-    if (np.abs(arr[np.isfinite(arr)]) > _MAX_ABS_HU).any():
-        raise ValueError(f"{path}: image holds a pixel beyond ±{_MAX_ABS_HU:g} HU")
+    if (np.abs(arr[np.isfinite(arr)]) > MAX_ABS_HU).any():
+        raise ValueError(f"{path}: image holds a pixel beyond ±{MAX_ABS_HU:g} HU")
     return arr
 
 
@@ -112,7 +112,7 @@ def _fit(model, cfg, out, force, train_pairs, val_pairs):
     """Train ``model``, built from ``cfg``, into ``out`` (checks before
     anything is written, ``run.cfg``, train). Returns the TrainResult."""
     train_cfg = cfg.train_config()
-    check_training_pairs(train_pairs)
+    check_training_pairs(train_pairs, val_pairs)
     if (out / "checkpoint.tck").exists() and not force:
         raise FileExistsError(f"{out} already holds a checkpoint; pass --force to overwrite")
     out.mkdir(parents=True, exist_ok=True)

@@ -147,6 +147,7 @@ class DoseConfig:
     dose_fraction: float = 0.25
 
     def __post_init__(self):
+        check_field_types(self)
         if not math.isfinite(self.i0):
             raise ValueError(f"i0 must be finite, got {self.i0}")
         if not 0.0 < self.dose_fraction <= 1.0:
@@ -687,15 +688,15 @@ def load_manifest(path):
 # |HU| beyond this is no CT number (extended scanner scales end near 3e4
 # HU): in a dataset file it is damage, such as a flipped exponent bit, and
 # near 1e23 HU it overflows float32 training
-_MAX_ABS_HU = 1e6
+MAX_ABS_HU = 1e6
 
 
 def _read_pair_image(path, spacing):
     """One HU image of a dataset pair; its errors name the file."""
     grid = read_tensor(path)
-    if grid.ndim != 2 or not (np.abs(grid) <= _MAX_ABS_HU).all():
+    if grid.ndim != 2 or not (np.abs(grid) <= MAX_ABS_HU).all():
         raise ValueError(f"{path}: not a 2-d image of finite values within "
-                         f"±{_MAX_ABS_HU:g} HU (shape {grid.shape})")
+                         f"±{MAX_ABS_HU:g} HU (shape {grid.shape})")
     return CtImage(grid, HU, spacing)
 
 

@@ -249,11 +249,12 @@ def detokenize(tokens, h, w):
 
 class TransCT(Module):
     """See the module docstring; ``variant`` selects the full network or
-    one of the reduced forms used for ablation."""
+    one of the reduced forms used for ablation. Every weight is a Xavier
+    draw from the generator ``rng``; with ``rng=None`` nothing is drawn and
+    the weights are undefined until the caller sets them."""
 
-    def __init__(self, config):
+    def __init__(self, config, rng):
         self.config = config
-        rng = np.random.default_rng(config.seed)
         c64 = config.channels(64)
         c128 = config.channels(128)
         c256 = config.channels(256)
@@ -392,5 +393,6 @@ class TransCT(Module):
 
 
 def build_model(config):
-    """Construct the network for a ModelConfig."""
-    return TransCT(config)
+    """Construct the network for a ModelConfig, its weights drawn from
+    ``config.seed``."""
+    return TransCT(config, np.random.default_rng(config.seed))

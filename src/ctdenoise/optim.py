@@ -2,29 +2,11 @@
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .tensor import ShapeError, Tensor
-
-# per thread and per task, so a model built elsewhere at the same time
-# still draws its weights
-_draw_weights = ContextVar("draw_weights", default=True)
-
-
-@contextmanager
-def _skip_init():
-    """Inside the block ``xavier_init`` draws nothing and returns an
-    uninitialised leaf, for a loader that overwrites every parameter.
-    Blocks nest; the previous state is restored on exit, also on error."""
-    token = _draw_weights.set(False)
-    try:
-        yield
-    finally:
-        _draw_weights.reset(token)
 
 
 def xavier_init(shape, seed):
@@ -34,12 +16,13 @@ def xavier_init(shape, seed):
     (product of any trailing extents), so conv kernels (Cout, Cin, k, k)
     and linear weights (c_in, c_out) are both covered. ``seed`` may be an
     int or an existing ``numpy.random.Generator``. Returns a trainable
-    float32 leaf tensor; inside ``_skip_init()`` its values are undefined.
+    float32 leaf tensor; for ``seed=None`` nothing is drawn and its values
+    are undefined, for a loader that overwrites every parameter.
     """
     shape = tuple(int(s) for s in shape)
     if len(shape) < 2:
         raise ShapeError(f"xavier_init needs rank >= 2, got shape {shape}")
-    if not _draw_weights.get():
+    if seed is None:
         return Tensor(np.empty(shape, dtype=np.float32), requires_grad=True)
     receptive = int(np.prod(shape[2:])) if len(shape) > 2 else 1
     fan_sum = (shape[0] + shape[1]) * receptive

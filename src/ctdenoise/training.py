@@ -20,11 +20,11 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from .checks import check_field_types
-from .ctsim import _MAX_ABS_HU, AIR_HU, HU, CtImage, TrainingPair
+from .ctsim import AIR_HU, HU, MAX_ABS_HU, CtImage, TrainingPair
 from .freq import decompose
 from .metrics import rmse
-from .model import INPUT_MULTIPLE, ModelConfig, build_model
-from .optim import AdamState, _skip_init, adam_step
+from .model import INPUT_MULTIPLE, ModelConfig, TransCT
+from .optim import AdamState, adam_step
 from .tensor import NonFiniteError, ShapeError, Tensor, mul, no_grad, sub
 from .tctio import TensorFormatError, frame_header, tensor_from_bytes
 
@@ -176,10 +176,10 @@ def save_checkpoint(model, path, epoch):
 def load_checkpoint(path):
     """Rebuild the model a checkpoint describes from the config it stores
     and assign its parameters, once every check has passed. The model is
-    built without drawing its initial weights, and each parameter is the
-    file's data after one copy. Bytes after
-    the last named tensor are an error, reported after a missing or
-    misshapen parameter so that a header which lost a name says so.
+    built with no generator, so it draws no initial weights, and each
+    parameter is the file's data after one copy. Bytes after the last
+    named tensor are an error, reported after a missing or misshapen
+    parameter so that a header which lost a name says so.
     Returns (model, epoch)."""
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -207,8 +207,7 @@ def load_checkpoint(path):
     except TensorFormatError as exc:
         raise CheckpointError(f"{path}: bad tensor payload: {exc}") from None
     try:
-        with _skip_init():
-            model = build_model(ModelConfig(**header["config"]))
+        model = TransCT(ModelConfig(**header["config"]), None)
     except (TypeError, ValueError, ArithmeticError) as exc:
         raise CheckpointError(f"{path}: bad config block: {exc}") from None
     named = list(model.named_parameters())
@@ -257,10 +256,13 @@ def _diverged(what, epoch, ckpt_path):
     return TrainingDiverged(f"non-finite {what} epoch {epoch}; {kept}")
 
 
-def check_training_pairs(pairs):
-    """Raise unless there is at least one pair, its images' sides are
-    multiples of ``INPUT_MULTIPLE`` and every pixel lies within
-    ±``_MAX_ABS_HU``, the bound ``load_dataset`` holds files to."""
+def check_training_pairs(pairs, val_pairs):
+    """Raise unless there is at least one training pair, every training
+    pair has the first one's shape, whose sides are multiples of
+    ``INPUT_MULTIPLE``, and every pixel of every pair, validation pairs
+    included, lies within ±``MAX_ABS_HU``, the bound ``load_dataset`` holds
+    files to. A validation pair may have any shape: ``denoise_image`` pads
+    it."""
     if not pairs:
         raise ValueError("train needs at least one pair")
     H, W = pairs[0].ld.grid.shape
@@ -268,10 +270,16 @@ def check_training_pairs(pairs):
         raise ShapeError(
             f"training patches must be multiples of {INPUT_MULTIPLE}, got {H}x{W}")
     for i, pair in enumerate(pairs):
-        for side in ("ld", "nd"):
-            if not (np.abs(getattr(pair, side).grid) <= _MAX_ABS_HU).all():
-                raise ValueError(f"training pair {i}: the {side} image holds a pixel "
-                                 f"beyond ±{_MAX_ABS_HU:g} HU")
+        if pair.ld.grid.shape != (H, W):
+            h, w = pair.ld.grid.shape
+            raise ShapeError(f"training pair {i} is {h}x{w}, but pair 0 is {H}x{W}; "
+                             "training pairs must share one shape")
+    for kind, group in (("training", pairs), ("validation", val_pairs)):
+        for i, pair in enumerate(group):
+            for side in ("ld", "nd"):
+                if not (np.abs(getattr(pair, side).grid) <= MAX_ABS_HU).all():
+                    raise ValueError(f"{kind} pair {i}: the {side} image holds a pixel "
+                                     f"beyond ±{MAX_ABS_HU:g} HU")
 
 
 def train(model, pairs, val_pairs, cfg, out_dir):
@@ -283,7 +291,7 @@ def train(model, pairs, val_pairs, cfg, out_dir):
     previous epoch's checkpoint in place; at epoch 0 no checkpoint is
     written.
     """
-    check_training_pairs(pairs)
+    check_training_pairs(pairs, val_pairs)
     os.makedirs(out_dir, exist_ok=True)
     ckpt_path = os.path.join(out_dir, "checkpoint.tck")
     hist_path = os.path.join(out_dir, "history.csv")

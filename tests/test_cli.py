@@ -245,6 +245,22 @@ class TestTrain:
                 in capsys.readouterr().err)
         assert not (tmp_path / "m").exists()
 
+    def test_mixed_pair_shapes_refused_before_the_run_dir(self, tmp_path, capsys):
+        # pairs 0 and 1 are 32x32, pair 2 is 64x64; all three are trained
+        data = tmp_path / "data"
+        for i, size in enumerate((32, 32, 64)):
+            (data / "pairs" / str(i)).mkdir(parents=True)
+            for name in ("ld.tct", "nd.tct"):
+                write_tensor(data / "pairs" / str(i) / name, np.zeros((size, size), np.float32))
+        (data / "manifest").write_text("data.n_pairs = 3\n")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(SMOKE_CFG.replace("train.val_pairs = 1", "train.val_pairs = 0"))
+        code = main(["train", "--config", str(cfg), "--data", str(data),
+                     "--out", str(tmp_path / "m")])
+        assert code == 1
+        assert "training pair 2 is 64x64, but pair 0 is 32x32" in capsys.readouterr().err
+        assert not (tmp_path / "m").exists()
+
     @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
     def test_divergence_exit_code(self, workspace, tmp_path, capsys):
         cfg = tmp_path / "hot.cfg"

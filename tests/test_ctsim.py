@@ -602,6 +602,15 @@ class TestPoissonNoise:
             with pytest.raises(ValueError, match="i0 must be finite"):
                 DoseConfig(i0=i0)
 
+    @pytest.mark.parametrize("kwargs, named", [
+        (dict(dose_fraction=True), "dose_fraction must be float, got bool True"),
+        (dict(i0=True, dose_fraction=1.0), "i0 must be float, got bool True"),
+        (dict(i0="1e5"), "i0 must be float, got str '1e5'"),
+    ])
+    def test_dose_config_field_types(self, kwargs, named):
+        with pytest.raises(TypeError, match=named):
+            DoseConfig(**kwargs)
+
 
 def reference_fbp(sino, geom):
     """FBP as one real ``np.interp`` pass per view over coordinates from a

@@ -1,6 +1,8 @@
 """The package root: the names of the end-to-end pipeline and nothing else."""
 
+import ast
 import types
+from pathlib import Path
 
 import ctdenoise as cd
 from ctdenoise import ctsim, metrics, model, training
@@ -24,3 +26,17 @@ def test_root_names_are_their_modules_objects():
     for module, names in ROOT_NAMES.items():
         for name in names:
             assert getattr(cd, name) is getattr(module, name), f"{module.__name__}.{name}"
+
+
+def test_no_module_imports_another_modules_private_names():
+    # a name another module needs is public; a private one stays in its module
+    found = []
+    for path in sorted(Path(cd.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not (isinstance(node, ast.ImportFrom)
+                    and (node.level or node.module.startswith("ctdenoise"))):
+                continue
+            source = "." * node.level + (node.module or "")
+            found += [f"{path.name}: from {source} import {alias.name}"
+                      for alias in node.names if alias.name.startswith("_")]
+    assert not found, found

@@ -646,3 +646,38 @@ class TestTrainLoop:
                                              "pixel beyond ±1e\\+06 HU"):
             train(model, pairs, [], TrainConfig(epochs=1), tmp_path / "run")
         assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("side, value", [("ld", -1e22), ("nd", 1e22)])
+    def test_impossible_hu_in_a_validation_pair_named(self, tmp_path, side, value):
+        # validation pairs are held to the training pairs' bound, so a
+        # damaged one does not read as a huge validation error
+        model = build_model(ModelConfig(**TINY))
+        img = CtImage(np.zeros((32, 32), dtype=np.float32), HU)
+        grid = img.grid.copy()
+        grid[3, 4] = value
+        val = [TrainingPair(ld=img, nd=img),
+               TrainingPair(**{"ld": img, "nd": img, side: CtImage(grid, HU)})]
+        with pytest.raises(ValueError, match=f"validation pair 1: the {side} image holds a "
+                                             "pixel beyond ±1e\\+06 HU"):
+            train(model, [TrainingPair(ld=img, nd=img)], val, TrainConfig(epochs=1),
+                  tmp_path / "run")
+        assert not (tmp_path / "run").exists()
+
+    def test_training_pairs_of_another_shape_named(self, tmp_path):
+        model = build_model(ModelConfig(**TINY))
+        small = CtImage(np.zeros((32, 32), dtype=np.float32), HU)
+        large = CtImage(np.zeros((64, 64), dtype=np.float32), HU)
+        pairs = [TrainingPair(ld=small, nd=small), TrainingPair(ld=small, nd=small),
+                 TrainingPair(ld=large, nd=large)]
+        with pytest.raises(ShapeError, match="training pair 2 is 64x64, but pair 0 is 32x32"):
+            train(model, pairs, [], TrainConfig(epochs=1), tmp_path / "run")
+        assert not (tmp_path / "run").exists()
+
+    def test_validation_pairs_may_differ_in_shape(self, tmp_path):
+        # denoise_image pads a validation image to the model's multiple
+        model = build_model(ModelConfig(**TINY))
+        val = [TrainingPair(ld=CtImage(np.zeros((40, 72), dtype=np.float32), HU),
+                            nd=CtImage(np.zeros((40, 72), dtype=np.float32), HU))]
+        res = train(model, tiny_pairs(2, size=32), val, TrainConfig(epochs=1, batch_size=2),
+                    tmp_path)
+        assert math.isfinite(res.final_val_rmse)
