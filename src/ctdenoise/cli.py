@@ -86,12 +86,12 @@ def cmd_simulate(args):
 def cmd_decompose(args):
     cfg = _resolve_config(args)
     arr = _read_image(args.input)
-    bands = decompose(arr, cfg["model.sigma"])
+    low, high = decompose(arr, cfg["model.sigma"])
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    write_tensor(out / "low.tct", bands.low.data)
-    write_tensor(out / "high.tct", bands.high.data)
-    err = float(np.abs(bands.low.data + bands.high.data - arr).max())
+    write_tensor(out / "low.tct", low)
+    write_tensor(out / "high.tct", high)
+    err = float(np.abs(low + high - arr).max())
     print(f"wrote {out}/low.tct and {out}/high.tct; max recomposition error {err:.3e}")
     return 0
 

@@ -718,6 +718,8 @@ def load_dataset(data_dir):
         raise ValueError(f"{root / 'manifest'}: geom.pixel_spacing_mm must be finite "
                          f"and > 0, got {text!r}")
     pair_dirs = list((root / "pairs").iterdir())
+    if not pair_dirs:
+        raise ValueError(f"dataset {root}: pairs/ holds no pairs")
     for pdir in pair_dirs:
         if not pdir.name.isdecimal():
             raise ValueError(f"dataset {root}: {pdir.name!r} under pairs/ is not a pair index")

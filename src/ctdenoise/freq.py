@@ -7,11 +7,9 @@ residual, so low + high reconstructs the input exactly by construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .tensor import NonFiniteError, ShapeError, Tensor
+from .tensor import NonFiniteError, ShapeError
 
 DEFAULT_SIGMA = 1.5
 
@@ -57,22 +55,14 @@ def gaussian_blur(arr, sigma=DEFAULT_SIGMA):
     return _correlate_along(out, kernel, arr.ndim - 2)
 
 
-@dataclass
-class FreqPair:
-    """Low/high band split such that low + high == original."""
-
-    low: Tensor
-    high: Tensor
-
-
 def decompose(image, sigma=DEFAULT_SIGMA):
-    """Split a 2-d image tensor into Gaussian low band plus residual. An
-    image holding NaN or inf raises NonFiniteError."""
-    data = image.data if isinstance(image, Tensor) else np.asarray(image)
+    """Split a 2-d image array into ``(low, high)`` arrays, the Gaussian
+    low band and the residual, so that low + high == image. An image
+    holding NaN or inf raises NonFiniteError."""
+    data = np.asarray(image)
     if data.ndim != 2:
         raise ShapeError(f"decompose expects a 2-d image, got shape {data.shape}")
     if not np.isfinite(data).all():
         raise NonFiniteError("decompose: image contains NaN or infinite values")
     low = gaussian_blur(data, sigma)
-    high = data - low
-    return FreqPair(low=Tensor(low), high=Tensor(high))
+    return low, data - low

@@ -14,6 +14,7 @@ every shape relation intact.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,8 +78,8 @@ class ModelConfig:
             raise ValueError(f"ffn_mult must be >= 1, got {self.ffn_mult}")
         if not 0.0 < self.lrelu_slope < 1.0:
             raise ValueError(f"lrelu_slope must lie in (0,1), got {self.lrelu_slope}")
-        if self.sigma <= 0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
+        if not (math.isfinite(self.sigma) and self.sigma > 0):
+            raise ValueError(f"sigma must be finite and positive, got {self.sigma}")
         if self.use_positional and (self.pos_image_size < 1
                                     or self.pos_image_size % INPUT_MULTIPLE):
             raise ValueError(f"pos_image_size must be a positive multiple of {INPUT_MULTIPLE}, "
@@ -219,10 +220,8 @@ class DecoderLayer(Module):
         self.cross_attn = MultiHeadAttention(dim, n_heads, rng)
         self.ffn = FeedForward(dim, ffn_mult, rng, slope)
 
-    def __call__(self, s, memory, trace=None):
+    def __call__(self, s, memory):
         s = add(self.self_attn(s), s)
-        if trace is not None:
-            trace["memory_reads"] = trace.get("memory_reads", 0) + 1
         s = add(self.cross_attn(s, memory), s)
         return add(self.ffn(s), s)
 
@@ -308,46 +307,34 @@ class TransCT(Module):
 
     # -- forward ----------------------------------------------------------
 
-    def __call__(self, x_low, x_high, trace=None):
+    def __call__(self, x_low, x_high):
         """Both inputs are (B, 1, H, W) tensors with H, W multiples of
         ``INPUT_MULTIPLE``, and ``pos_image_size`` square for a model with
-        positional embeddings; returns the denoised (B, 1, H, W) image.
-        ``trace`` (a dict), when given, receives the intermediate shapes
-        and the number of encoder-memory reads."""
+        positional embeddings; returns the denoised (B, 1, H, W) image."""
         self._check_inputs(x_low, x_high)
         variant = self.config.variant
         # no_dual_path sums the bands back together into one column
         t, c1, c2 = self._content_column(
             add(x_low, x_high) if variant == "no_dual_path" else x_low)
-        shapes = {"trunk": t.shape, "x_lc1": c1.shape, "x_lc2": c2.shape}
         if variant == "full":
             tx = self.tex3(self.tex2(self.tex1(t)))
             hf = self._hf_features(x_high)
             lt, ht = tokenize(tx), tokenize(hf)
-            shapes.update(x_hf=hf.shape, x_lt=tx.shape, s_l=lt.shape, s_h=ht.shape)
             if self.config.use_positional:
                 ht = add(ht, self.pos_dec)
             memory = self._encode(lt)
             for dec in self.decoders:
-                ht = dec(ht, memory, trace)
+                ht = dec(ht, memory)
             y = detokenize(ht, hf.shape[2], hf.shape[3])
         elif variant == "no_transformer":
             tx = self.tex2(self.tex1(t))
             hf = self._hf_features(x_high)
-            shapes["x_hf"] = hf.shape
             y = self.fuse(concat([hf, tx], axis=1))
             for block in self.fuse_blocks:
                 y = block(y)
         else:
-            tokens = tokenize(c2)
-            shapes["s_l"] = tokens.shape
-            y = detokenize(self._encode(tokens), c2.shape[2], c2.shape[3])
-        shapes["y"] = y.shape
-        out = self._reconstruct(y, c1, c2, shapes)
-        shapes["out"] = out.shape
-        if trace is not None:
-            trace.update(shapes)
-        return out
+            y = detokenize(self._encode(tokenize(c2)), c2.shape[2], c2.shape[3])
+        return self._reconstruct(y, c1, c2)
 
     def _check_inputs(self, x_low, x_high):
         for name, t in (("x_low", x_low), ("x_high", x_high)):
@@ -385,11 +372,9 @@ class TransCT(Module):
             tokens = enc(tokens)
         return tokens
 
-    def _reconstruct(self, y, c1, c2, shapes):
+    def _reconstruct(self, y, c1, c2):
         u1 = pixel_shuffle(self.res1(add(y, c2)), 2)
-        r2 = self.res2(add(u1, c1))
-        shapes["stage1"], shapes["stage2"] = u1.shape, r2.shape
-        return pixel_shuffle(r2, 8)
+        return pixel_shuffle(self.res2(add(u1, c1)), 8)
 
 
 def build_model(config):

@@ -115,7 +115,8 @@ def _pad_to_multiple(grid, multiple):
 def denoise_image(model, img):
     """Run the full path on one HU image: convert to relative attenuation,
     pad to a multiple of ``INPUT_MULTIPLE`` (reflected), band-split,
-    denoise, crop, and convert back to HU (floored at air).
+    denoise, crop, and convert back to HU (floored at air). An output
+    holding NaN or inf raises NonFiniteError.
 
     The model runs under ``no_grad()``: no autograd graph is built, so
     conv2d builds its im2col columns one band of output rows at a time,
@@ -128,11 +129,11 @@ def denoise_image(model, img):
         raise ValueError(f"denoise_image expects a HU image, got {img.unit!r}")
     rel = _hu_to_rel(img.grid)
     padded, (H, W) = _pad_to_multiple(rel, INPUT_MULTIPLE)
-    bands = decompose(padded, model.config.sigma)
-    x_low = Tensor(bands.low.data[None, None])
-    x_high = Tensor(bands.high.data[None, None])
+    low, high = decompose(padded, model.config.sigma)
     with no_grad():
-        out = model(x_low, x_high).data[0, 0, :H, :W]
+        out = model(Tensor(low[None, None]), Tensor(high[None, None])).data[0, 0, :H, :W]
+    if not np.isfinite(out).all():
+        raise NonFiniteError("denoise_image: the model's output holds NaN or infinite values")
     hu = np.maximum(_rel_to_hu(out), AIR_HU).astype(np.float32)
     return CtImage(hu, HU, img.pixel_spacing_mm)
 
@@ -240,9 +241,9 @@ def _prepare(pairs, sigma):
     band, normal-dose target)."""
     lows, highs, targets = [], [], []
     for pair in pairs:
-        bands = decompose(_hu_to_rel(pair.ld.grid), sigma)
-        lows.append(bands.low.data)
-        highs.append(bands.high.data)
+        low, high = decompose(_hu_to_rel(pair.ld.grid), sigma)
+        lows.append(low)
+        highs.append(high)
         targets.append(_hu_to_rel(pair.nd.grid))
     stack = lambda xs: np.stack(xs)[:, None].astype(np.float32)
     return stack(lows), stack(highs), stack(targets)

@@ -1,11 +1,14 @@
 """Shared fixtures and the finite-difference gradient harness."""
 
 import json
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
 
 import ctdenoise as cd
+from ctdenoise import model as model_module
+from ctdenoise.model import MultiHeadAttention, TransCT
 from ctdenoise.tensor import Tensor
 from ctdenoise.training import CHECKPOINT_MAGIC
 
@@ -21,6 +24,8 @@ MALFORMED_HEADERS = {
     "heads_zero": {"names": [], "config": {"n_heads": 0}, "epoch": 0},
     "width_overflow": {"names": [], "config": {"width": 1e308}, "epoch": 0},
     "config_unknown_key": {"names": [], "config": {"depth": 3}, "epoch": 0},
+    "sigma_inf": {"names": [], "config": {"sigma": float("inf")}, "epoch": 0},
+    "sigma_nan": {"names": [], "config": {"sigma": float("nan")}, "epoch": 0},
 }
 
 
@@ -28,6 +33,72 @@ def write_header_only_checkpoint(path, header):
     """A .tck file holding ``header`` and no tensors."""
     blob = json.dumps(header).encode("utf-8")
     path.write_bytes(CHECKPOINT_MAGIC + len(blob).to_bytes(4, "little") + blob)
+
+
+@contextmanager
+def stage_shapes():
+    """Record the shapes of the TransCT forward passes run inside the block.
+
+    Watches from outside, as ``perfbench/tracer.py`` does: the model's
+    stage methods, the ``tokenize`` and ``pixel_shuffle`` that ``model.py``
+    looks up by name, and ``MultiHeadAttention.__call__`` are wrapped, and
+    every wrap is undone on exit. Yields a dict that fills with
+    ``trunk``, ``x_lc1``, ``x_lc2`` (content column), ``x_lt`` (texture
+    column, full variant), ``x_hf`` (high-band path), ``s_l`` and ``s_h``
+    (low- and high-band tokens), ``y`` (input to reconstruction),
+    ``stage1``, ``stage2`` (its two blocks), ``out``, and ``memory_reads``,
+    the count of attention calls given a separate key/value stream."""
+    shapes, seen = {}, {}
+    patch = pytest.MonkeyPatch()
+
+    def wrap(owner, name, record):
+        orig = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            out = orig(*args, **kwargs)
+            record(out, *args, **kwargs)
+            return out
+        patch.setattr(owner, name, wrapper)
+
+    def content_column(out, model, x):
+        seen["content"] = out[2]
+        shapes.update(trunk=out[0].shape, x_lc1=out[1].shape, x_lc2=out[2].shape)
+
+    def hf_features(out, model, x):
+        seen["high"] = out
+        shapes["x_hf"] = out.shape
+
+    def tokenize(out, x):
+        if x is seen.get("high"):
+            shapes["s_h"] = out.shape
+            return
+        if x is not seen.get("content"):  # the texture column's output
+            shapes["x_lt"] = x.shape
+        shapes["s_l"] = out.shape
+
+    def pixel_shuffle(out, x, r):
+        if r == 2:
+            shapes["stage1"] = out.shape
+        else:
+            shapes["stage2"] = x.shape
+
+    def reconstruct(out, model, y, c1, c2):
+        shapes.update(y=y.shape, out=out.shape)
+
+    def attention(out, module, q, kv=None):
+        if kv is not None:
+            shapes["memory_reads"] = shapes.get("memory_reads", 0) + 1
+
+    wrap(TransCT, "_content_column", content_column)
+    wrap(TransCT, "_hf_features", hf_features)
+    wrap(TransCT, "_reconstruct", reconstruct)
+    wrap(model_module, "tokenize", tokenize)
+    wrap(model_module, "pixel_shuffle", pixel_shuffle)
+    wrap(MultiHeadAttention, "__call__", attention)
+    try:
+        yield shapes
+    finally:
+        patch.undo()
 
 
 def rel_err(a, b):

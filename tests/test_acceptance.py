@@ -39,7 +39,7 @@ from ctdenoise.tensor import (
 )
 from ctdenoise.training import TrainConfig, denoise_image, lr_at, mse_loss, train
 
-from conftest import gradcheck, rel_err
+from conftest import gradcheck, rel_err, stage_shapes
 
 
 def report(num, name, ok, detail):
@@ -58,8 +58,8 @@ def test_criterion_01_decomposition_exactness():
     for i in range(100):
         dtype = np.float32 if i % 2 == 0 else np.float64
         img = rng.normal(size=(64, 64)).astype(dtype)
-        pair = decompose(img)
-        err = float(np.abs(pair.low.data + pair.high.data - img).max())
+        low, high = decompose(img)
+        err = float(np.abs(low + high - img).max())
         worst = max(worst, err)
     seconds = time.perf_counter() - t0
     ok = worst <= 1e-6 and seconds < 5.0
@@ -78,8 +78,8 @@ def test_criterion_02_shape_ledger():
     rng = np.random.default_rng(1)
     low = Tensor(rng.normal(size=(1, 1, 512, 512)).astype(np.float32))
     high = Tensor(rng.normal(size=(1, 1, 512, 512)).astype(np.float32))
-    trace = {}
-    out = model(low, high, trace)
+    with stage_shapes() as trace:
+        out = model(low, high)
     seconds = time.perf_counter() - t0
     expected = {
         "x_lc1": (1, 16, 64, 64),

@@ -205,6 +205,18 @@ class TestTrain:
         err = capsys.readouterr().err
         assert str(data) in err and "'notes'" in err
 
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_empty_dataset_named(self, workspace, tmp_path, capsys, command):
+        data = tmp_path / "data"
+        (data / "pairs").mkdir(parents=True)
+        shutil.copy(workspace / "data" / "manifest", data / "manifest")
+        where = (["--config", str(workspace / "run.cfg"), "--out", str(tmp_path / "m")]
+                 if command == "train" else
+                 ["--checkpoint", str(workspace / "model" / "checkpoint.tck")])
+        assert main([command, "--data", str(data), *where]) == 1
+        assert f"dataset {data}: pairs/ holds no pairs" in capsys.readouterr().err
+        assert not (tmp_path / "m").exists()
+
     def test_too_many_val_pairs(self, workspace, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(SMOKE_CFG + "train.val_pairs = 5\n")
@@ -369,6 +381,34 @@ class TestDenoise:
                      "--input", str(src), "--out", str(tmp_path / "o.tct")])
         assert code == 1
         assert "decompose: image contains NaN or infinite" in capsys.readouterr().err
+        assert not (tmp_path / "o.tct").exists()
+
+    def test_non_finite_output_refused(self, tmp_path, capsys):
+        # one NaN weight in the last block reaches some output pixels but
+        # no attention score, so nothing upstream of the output stops it
+        model = build_model(ModelConfig(width=0.0625, n_heads=2, ffn_mult=2,
+                                        variant="no_transformer"))
+        model.res2.conv2.weight.data[0, 0, 1, 1] = np.nan
+        save_checkpoint(model, tmp_path / "m.tck", 0)
+        write_tensor(tmp_path / "in.tct", np.zeros((64, 64), np.float32))
+        code = main(["denoise", "--checkpoint", str(tmp_path / "m.tck"),
+                     "--input", str(tmp_path / "in.tct"), "--out", str(tmp_path / "o.tct")])
+        assert code == 1
+        assert "denoise_image: the model's output holds NaN" in capsys.readouterr().err
+        assert not (tmp_path / "o.tct").exists()
+
+    def test_checkpoint_with_an_infinite_sigma(self, workspace, tmp_path, capsys):
+        raw = (workspace / "model" / "checkpoint.tck").read_bytes()
+        hlen = int.from_bytes(raw[4:8], "little")
+        header = json.loads(raw[8 : 8 + hlen])
+        header["config"]["sigma"] = float("inf")
+        blob = json.dumps(header).encode()
+        bad = tmp_path / "inf_sigma.tck"
+        bad.write_bytes(CHECKPOINT_MAGIC + len(blob).to_bytes(4, "little") + blob + raw[8 + hlen:])
+        code = main(["denoise", "--checkpoint", str(bad),
+                     "--input", str(workspace / "crop.tct"), "--out", str(tmp_path / "o.tct")])
+        assert code == 1
+        assert "sigma must be finite and positive, got inf" in capsys.readouterr().err
         assert not (tmp_path / "o.tct").exists()
 
     @pytest.mark.parametrize("value", [6e23, 1e30])

@@ -861,6 +861,12 @@ class TestDataset:
         with pytest.raises(ValueError, match=f"ds.*'{stray}'.* not a pair index"):
             load_dataset(tmp_path / "ds")
 
+    def test_no_pairs_named(self, tmp_path):
+        (tmp_path / "ds" / "pairs").mkdir(parents=True)
+        (tmp_path / "ds" / "manifest").write_text("geom.pixel_spacing_mm = 1.0\n")
+        with pytest.raises(ValueError, match=r"dataset .*ds: pairs/ holds no pairs"):
+            load_dataset(tmp_path / "ds")
+
     @pytest.mark.parametrize("value", [6.0e23, -2.1e34, np.nan])
     def test_damaged_pixel_named(self, tmp_path, value):
         # one flipped exponent bit turns a pixel into such a value

@@ -11,7 +11,7 @@ from ctdenoise.freq import (
     gaussian_blur,
     gaussian_kernel,
 )
-from ctdenoise.tensor import NonFiniteError, ShapeError, Tensor
+from ctdenoise.tensor import NonFiniteError, ShapeError
 
 from conftest import rel_err
 
@@ -104,24 +104,28 @@ class TestDecompose:
         rng = np.random.default_rng(2)
         for _ in range(10):
             img = rng.normal(size=(32, 32)).astype(np.float32)
-            pair = decompose(img)
-            err = np.abs(pair.low.data + pair.high.data - img).max()
+            low, high = decompose(img)
+            err = np.abs(low + high - img).max()
             assert err <= 1e-6
 
     def test_mean_preserved_and_noise_lands_in_high_band(self):
         rng = np.random.default_rng(3)
         smooth = np.outer(np.linspace(0, 1, 48), np.linspace(1, 2, 48))
         noise = 0.1 * rng.normal(size=(48, 48))
-        pair = decompose(smooth + noise)
+        low, high = decompose(smooth + noise)
         # the smooth ramp survives in the low band; most noise power does not
-        assert np.var(pair.high.data) > 0.4 * np.var(noise)
-        assert abs(pair.low.data.mean() - (smooth + noise).mean()) < 1e-2
+        assert np.var(high) > 0.4 * np.var(noise)
+        assert abs(low.mean() - (smooth + noise).mean()) < 1e-2
 
-    def test_accepts_tensor_and_array(self):
-        img = np.ones((16, 16), dtype=np.float32)
-        a = decompose(img)
-        b = decompose(Tensor(img))
-        assert np.array_equal(a.low.data, b.low.data)
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_returns_low_and_high_arrays(self, dtype):
+        img = np.random.default_rng(4).normal(size=(16, 16)).astype(dtype)
+        low, high = decompose(img)
+        for band in (low, high):
+            assert isinstance(band, np.ndarray)
+            assert band.shape == img.shape and band.dtype == dtype
+        assert np.array_equal(low, gaussian_blur(img, DEFAULT_SIGMA))
+        assert np.array_equal(high, img - low)
 
     def test_rank_validation(self):
         with pytest.raises(ShapeError):
@@ -136,6 +140,4 @@ class TestDecompose:
         img[5, 7] = bad
         with pytest.raises(NonFiniteError, match="^decompose: image contains NaN or infinite"):
             decompose(img)
-        with pytest.raises(NonFiniteError):
-            decompose(Tensor(img))
 

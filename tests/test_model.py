@@ -25,6 +25,8 @@ from ctdenoise.model import (
 )
 from ctdenoise.tensor import ShapeError, Tensor
 
+from conftest import stage_shapes
+
 
 def attention_reference(x_q, x_kv, layer):
     """Single-batch dense attention using the module's own weights."""
@@ -88,6 +90,11 @@ class TestModelConfig:
             ModelConfig(sigma=0.0)
         with pytest.raises(ValueError, match="multiple of 32"):
             ModelConfig(use_positional=True, pos_image_size=40)
+
+    @pytest.mark.parametrize("sigma", [np.inf, -np.inf, np.nan])
+    def test_sigma_must_be_finite(self, sigma):
+        with pytest.raises(ValueError, match="sigma must be finite and positive"):
+            ModelConfig(sigma=sigma)
 
     @pytest.mark.parametrize("field, value", [
         ("n_heads", 4.0), ("seed", True), ("variant", 1), ("width", True),
@@ -178,8 +185,8 @@ class TestLayers:
     def test_decoder_counts_memory_reads(self):
         rng = np.random.default_rng(5)
         layer = DecoderLayer(8, 2, 2, rng)
-        trace = {}
-        layer(Tensor(rng.normal(size=(1, 4, 8))), Tensor(rng.normal(size=(1, 4, 8))), trace)
+        with stage_shapes() as trace:
+            layer(Tensor(rng.normal(size=(1, 4, 8))), Tensor(rng.normal(size=(1, 4, 8))))
         assert trace["memory_reads"] == 1
 
 
@@ -210,8 +217,8 @@ class TestForwardShapes:
         model = build_model(ModelConfig(width=0.25, seed=0))
         rng = np.random.default_rng(0)
         low, high = bands(rng, (2, 1, 64, 64))
-        trace = {}
-        out = model(low, high, trace)
+        with stage_shapes() as trace:
+            out = model(low, high)
         assert trace["trunk"] == (2, 16, 16, 16)
         assert trace["x_lc1"] == (2, 16, 8, 8)
         assert trace["x_lc2"] == (2, 64, 4, 4)
@@ -232,8 +239,8 @@ class TestForwardShapes:
         model = build_model(ModelConfig(width=0.25, variant=variant, seed=0))
         rng = np.random.default_rng(0)
         low, high = bands(rng, (2, 1, 64, 64))
-        trace = {}
-        model(low, high, trace)
+        with stage_shapes() as trace:
+            model(low, high)
         assert trace == {
             "trunk": (2, 16, 16, 16),
             "x_lc1": (2, 16, 8, 8),
@@ -254,9 +261,14 @@ class TestForwardShapes:
         rng = np.random.default_rng(11)
         low, high = bands(rng, (1, 1, 32, 32))
         runs = []
-        for args in ((low, high), (low, high, {})):
+        for watched in (False, True):
             model.zero_grad()
-            out = model(*args)
+            if watched:
+                with stage_shapes() as trace:
+                    out = model(low, high)
+                assert trace["out"] == (1, 1, 32, 32)
+            else:
+                out = model(low, high)
             tsum(out).backward()
             runs.append([out.numpy()] + [p.grad for p in model.parameters()])
         assert len(runs[0]) == len(runs[1])
@@ -267,8 +279,8 @@ class TestForwardShapes:
         model = build_model(ModelConfig(**TINY))
         rng = np.random.default_rng(1)
         low, high = bands(rng, (1, 1, 32, 32))
-        trace = {}
-        model(low, high, trace)
+        with stage_shapes() as trace:
+            model(low, high)
         assert trace["memory_reads"] == N_STAGES
 
     @pytest.mark.parametrize("variant", ["full", "no_transformer", "no_dual_path"])
