@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, RunConfig, load_run_config
+from .config import SCHEMA, ConfigError, RunConfig, load_run_config
 from .ctsim import HU, MAX_ABS_HU, CtImage, load_dataset, make_dataset, save_dataset
 from .freq import decompose
 from .metrics import evaluate_pairs
@@ -35,11 +35,8 @@ log = logging.getLogger(__name__)
 
 def _resolve_config(args, fallback=None):
     """Defaults, then ``--config`` (or else ``fallback``), then command-line overrides."""
-    overrides = {}
-    if args.seed is not None:
-        overrides.update({"data.seed": args.seed, "model.seed": args.seed,
-                          "train.seed": args.seed})
-    return load_run_config(args.config or fallback, overrides)
+    seeds = {} if args.seed is None else {k: args.seed for k in SCHEMA if k.endswith(".seed")}
+    return load_run_config(args.config or fallback, seeds)
 
 
 def _read_image(path):
@@ -275,7 +272,7 @@ def main(argv=None):
     except TrainingDiverged as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

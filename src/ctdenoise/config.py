@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .ctsim import DoseConfig, default_geometry
+from .ctsim import DoseConfig, ScanGeometry, default_geometry
 from .model import ModelConfig
 from .training import TrainConfig
 
@@ -39,30 +39,33 @@ def _parse_float(text):
     return value
 
 
-# keyed by annotation text: model.py postpones annotations, so a field's type is a string
+# keyed by annotation text: the dataclasses postpone annotations, so a field's type is a string
 _PARSERS = {"int": int, "float": _parse_float, "bool": _parse_bool, "str": str}
 
-# key -> (parser, default); the model.* keys are ModelConfig's fields
+
+def _fields(cls, section):
+    """``section.<field>`` -> (parser, default) for each field of ``cls`` a parser reads."""
+    return {f"{section}.{f.name}": (_PARSERS[f.type], f.default)
+            for f in dataclasses.fields(cls) if f.type in _PARSERS}
+
+
+# key -> (parser, default); only the keys the CLI adds state their default here
 SCHEMA = {
     "data.n_pairs": (int, 10),
     "data.size": (int, 64),
     "data.n_ellipses": (int, 6),
-    "data.n_views": (int, 360),
-    "data.i0": (_parse_float, 1e5),
-    "data.dose_fraction": (_parse_float, 0.25),
+    "data.n_views": (int, ScanGeometry.n_views),
+    **_fields(DoseConfig, "data"),
     "data.seed": (int, 0),
-    **{f"model.{f.name}": (_PARSERS[f.type], f.default)
-       for f in dataclasses.fields(ModelConfig)},
+    **_fields(ModelConfig, "model"),
     # the desk-size network, not ModelConfig's full-size 1.0: it trains on a CPU
     "model.width": (_parse_float, 0.25),
-    "train.epochs": (int, 300),
-    "train.batch_size": (int, 8),
-    "train.lr": (_parse_float, 1e-4),
-    "train.lr_drop_epoch": (int, 180),
-    "train.lr_dropped": (_parse_float, 1e-5),
+    **_fields(TrainConfig, "train"),
+    # TrainConfig's lr_schedule is ((0, lr), (lr_drop_epoch, lr_dropped))
+    "train.lr": (_parse_float, TrainConfig.lr_schedule[0][1]),
+    "train.lr_drop_epoch": (int, TrainConfig.lr_schedule[1][0]),
+    "train.lr_dropped": (_parse_float, TrainConfig.lr_schedule[1][1]),
     "train.val_pairs": (int, 1),
-    "train.clip_norm": (_parse_float, 1.0),
-    "train.seed": (int, 0),
     "eval.data_range": (_parse_float, 0.0),  # 0 = derive from each reference image
 }
 
@@ -80,26 +83,23 @@ class RunConfig:
 
     # -- typed views --------------------------------------------------
 
+    def _build(self, cls, section, **extra):
+        """``cls`` from the keys ``_fields`` made for it, plus ``extra``."""
+        return cls(**{k.removeprefix(f"{section}."): self.values[k]
+                      for k in _fields(cls, section)}, **extra)
+
     def model_config(self):
-        return ModelConfig(**{k.removeprefix("model."): v
-                              for k, v in self.values.items() if k.startswith("model.")})
+        return self._build(ModelConfig, "model")
 
     def train_config(self):
         v = self.values
         schedule = [(0, v["train.lr"])]
         if 0 < v["train.lr_drop_epoch"] < v["train.epochs"]:
             schedule.append((v["train.lr_drop_epoch"], v["train.lr_dropped"]))
-        return TrainConfig(
-            epochs=v["train.epochs"],
-            batch_size=v["train.batch_size"],
-            lr_schedule=tuple(schedule),
-            seed=v["train.seed"],
-            clip_norm=v["train.clip_norm"],
-        )
+        return self._build(TrainConfig, "train", lr_schedule=tuple(schedule))
 
     def dose_config(self):
-        v = self.values
-        return DoseConfig(i0=v["data.i0"], dose_fraction=v["data.dose_fraction"])
+        return self._build(DoseConfig, "data")
 
     def geometry(self):
         return default_geometry(self.values["data.size"], n_views=self.values["data.n_views"])

@@ -117,7 +117,7 @@ class ScanGeometry:
         return offsets * self.detector_spacing_mm
 
 
-def default_geometry(image_size, pixel_spacing_mm=1.0, n_views=360):
+def default_geometry(image_size, pixel_spacing_mm=1.0, n_views=ScanGeometry.n_views):
     """Detector row covering the image diagonal, odd count for a center ray."""
     n_det = int(math.ceil(image_size * math.sqrt(2.0))) + 1
     if n_det % 2 == 0:

@@ -31,11 +31,6 @@ def gaussian_kernel(sigma):
 
 def _correlate_along(arr, kernel, axis):
     radius = len(kernel) // 2
-    if arr.shape[axis] < len(kernel):
-        raise ShapeError(
-            f"image extent {arr.shape[axis]} along axis {axis} is smaller than "
-            f"the {len(kernel)}-tap blur kernel"
-        )
     pad = [(0, 0)] * arr.ndim
     pad[axis] = (radius, radius)
     padded = np.pad(arr, pad, mode="reflect")
@@ -50,6 +45,11 @@ def _correlate_along(arr, kernel, axis):
 
 def gaussian_blur(arr, sigma=DEFAULT_SIGMA):
     """Separable Gaussian blur over the last two axes of a numpy array."""
+    taps = 2.0 * np.ceil(4.0 * sigma) + 1.0  # a float: no sigma overflows it
+    for axis in (arr.ndim - 1, arr.ndim - 2):
+        if arr.shape[axis] < taps:
+            raise ShapeError(f"image extent {arr.shape[axis]} along axis {axis} is smaller "
+                             f"than the {taps:.0f}-tap blur kernel")
     kernel = gaussian_kernel(sigma)
     out = _correlate_along(arr, kernel, arr.ndim - 1)
     return _correlate_along(out, kernel, arr.ndim - 2)
@@ -57,9 +57,10 @@ def gaussian_blur(arr, sigma=DEFAULT_SIGMA):
 
 def decompose(image, sigma=DEFAULT_SIGMA):
     """Split a 2-d image array into ``(low, high)`` arrays, the Gaussian
-    low band and the residual, so that low + high == image. An image
-    holding NaN or inf raises NonFiniteError."""
+    low band and the residual, so that low + high == image; a non-floating
+    image is split in float64. NaN or inf raises NonFiniteError."""
     data = np.asarray(image)
+    data = data if np.issubdtype(data.dtype, np.inexact) else data.astype(np.float64)
     if data.ndim != 2:
         raise ShapeError(f"decompose expects a 2-d image, got shape {data.shape}")
     if not np.isfinite(data).all():

@@ -4,8 +4,8 @@ The engine is deliberately small. Every operation computes its result
 eagerly and records a closure that maps the output gradient back to the
 input gradients; ``Tensor.backward()`` then walks the recorded graph once
 in reverse topological order; inside ``no_grad()`` nothing is recorded.
-Broadcasting is supported only where the network needs it (bias adds,
-scalar scaling), and only float32/float64 data is allowed: float32 is the
+``add``, ``sub`` and ``mul`` broadcast as numpy does (``linear``'s bias add
+needs it), and only float32/float64 data is allowed: float32 is the
 compute default, float64 exists for finite-difference gradient checking.
 """
 

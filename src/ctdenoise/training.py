@@ -209,7 +209,7 @@ def load_checkpoint(path):
         raise CheckpointError(f"{path}: bad tensor payload: {exc}") from None
     try:
         model = TransCT(ModelConfig(**header["config"]), None)
-    except (TypeError, ValueError, ArithmeticError) as exc:
+    except (TypeError, ValueError, ArithmeticError, MemoryError) as exc:
         raise CheckpointError(f"{path}: bad config block: {exc}") from None
     named = list(model.named_parameters())
     for name, p in named:

@@ -26,6 +26,10 @@ MALFORMED_HEADERS = {
     "config_unknown_key": {"names": [], "config": {"depth": 3}, "epoch": 0},
     "sigma_inf": {"names": [], "config": {"sigma": float("inf")}, "epoch": 0},
     "sigma_nan": {"names": [], "config": {"sigma": float("nan")}, "epoch": 0},
+    # models whose first weight allocation fails at once: TiB, PiB
+    "width_too_large": {"names": [], "config": {"width": 1e9}, "epoch": 0},
+    "pos_too_large": {"names": [], "config": {"use_positional": True,
+                                              "pos_image_size": 320000000}, "epoch": 0},
 }
 
 

@@ -167,6 +167,18 @@ class TestDecompose:
         assert not (tmp_path / "o").exists()
 
 
+    @pytest.mark.parametrize("sigma", ["1e12", "1e308"])
+    def test_sigma_larger_than_the_image(self, workspace, tmp_path, capsys, sigma):
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text(f"model.sigma = {sigma}\n")
+        src = workspace / "data" / "pairs" / "0" / "ld.tct"
+        code = main(["decompose", "--config", str(cfg), "--input", str(src),
+                     "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert "is smaller than the" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+
 class TestTrain:
     def test_artifacts(self, workspace):
         model = workspace / "model"
@@ -243,6 +255,16 @@ class TestTrain:
                      "--data", str(workspace / "data"), "--out", str(tmp_path / "m")])
         assert code == 1
         assert named in capsys.readouterr().err
+        assert not (tmp_path / "m").exists()
+
+    @pytest.mark.parametrize("command", ["train", "ablate"])
+    def test_model_too_large_to_allocate(self, workspace, tmp_path, capsys, command):
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text(SMOKE_CFG + "model.width = 1e9\n")
+        code = main([command, "--config", str(cfg),
+                     "--data", str(workspace / "data"), "--out", str(tmp_path / "m")])
+        assert code == 1
+        assert "Unable to allocate" in capsys.readouterr().err
         assert not (tmp_path / "m").exists()
 
     def test_patch_size_refused_before_the_run_dir(self, tmp_path, capsys):

@@ -13,7 +13,9 @@ from ctdenoise.config import (
     load_run_config,
     parse_config_text,
 )
+from ctdenoise.ctsim import DoseConfig, ScanGeometry, default_geometry
 from ctdenoise.model import ModelConfig
+from ctdenoise.training import TrainConfig
 
 
 class TestParsing:
@@ -109,6 +111,34 @@ class TestTypedViews:
         assert {k for k in SCHEMA if k.startswith("model.")} == fields
         # the one default the CLI sets apart from ModelConfig: the desk-size width
         assert load_run_config().model_config() == ModelConfig(width=0.25)
+
+    # the keys that are not a field of their section's dataclass
+    CLI_KEYS = {"data.n_pairs", "data.size", "data.n_ellipses", "data.seed", "data.n_views",
+                "model.width", "train.lr", "train.lr_drop_epoch", "train.lr_dropped",
+                "train.val_pairs", "eval.data_range"}
+    DERIVED = {f"{section}.{f.name}": f.default
+               for section, cls in (("data", DoseConfig), ("model", ModelConfig),
+                                    ("train", TrainConfig))
+               for f in dataclasses.fields(cls) if f.name != "lr_schedule"}
+
+    def test_default_views_are_the_dataclass_defaults(self):
+        cfg = load_run_config()
+        assert cfg.dose_config() == DoseConfig()
+        assert cfg.train_config() == TrainConfig()
+        assert cfg.geometry() == default_geometry(cfg["data.size"])
+
+    def test_derived_defaults_are_the_field_defaults(self):
+        for key, default in self.DERIVED.items():
+            if key != "model.width":
+                assert SCHEMA[key][1] == default, key
+        (_, lr), (drop, dropped) = TrainConfig().lr_schedule
+        assert [SCHEMA[k][1] for k in ("train.lr", "train.lr_drop_epoch", "train.lr_dropped")] \
+            == [lr, drop, dropped]
+        assert SCHEMA["data.n_views"][1] == ScanGeometry().n_views
+
+    def test_every_key_is_derived_or_the_clis_own(self):
+        assert set(SCHEMA) == set(self.DERIVED) | self.CLI_KEYS
+        assert set(self.DERIVED) & self.CLI_KEYS == {"model.width"}
 
     def test_every_model_key_round_trips(self, tmp_path):
         want = ModelConfig(width=0.5, n_heads=2, ffn_mult=2, lrelu_slope=0.1, sigma=2.0,

@@ -883,8 +883,21 @@ class TestDataset:
         save_dataset(pairs, tmp_path / "ds", {"geom.pixel_spacing_mm": "-1.0"})
         with pytest.raises(ValueError, match=r"manifest: geom\.pixel_spacing_mm must be finite"):
             load_dataset(tmp_path / "ds")
+        save_dataset(pairs, tmp_path / "ds", {"geom.pixel_spacing_mm": "abc"})
+        with pytest.raises(ValueError, match=r"manifest: geom\.pixel_spacing_mm must be finite "
+                                             r"and > 0, got 'abc'"):
+            load_dataset(tmp_path / "ds")
         (tmp_path / "ds" / "manifest").write_bytes(b"geom.pixel_spacing_mm = 1.0\n\xff\n")
         with pytest.raises(ValueError, match="manifest: manifest is not UTF-8"):
+            load_dataset(tmp_path / "ds")
+
+    def test_pair_shapes_that_disagree_named(self, tmp_path):
+        pairs = make_dataset(2, 32, DoseConfig(), seed=0, geom=default_geometry(32, n_views=30))
+        save_dataset(pairs, tmp_path / "ds", {})
+        tctio.write_tensor(tmp_path / "ds" / "pairs" / "1" / "nd.tct",
+                           np.zeros((32, 16), np.float32))
+        with pytest.raises(ValueError, match=r"pairs/1: pair shapes disagree: "
+                                             r"\(32, 32\) vs \(32, 16\)"):
             load_dataset(tmp_path / "ds")
 
 

@@ -98,6 +98,12 @@ class TestBlur:
         with pytest.raises(ShapeError, match="13-tap"):
             gaussian_blur(np.ones((8, 8)), 1.5)  # kernel is 13 taps
 
+    @pytest.mark.parametrize("sigma", [1e12, 1e308])
+    def test_huge_sigma_refused_before_the_kernel_is_made(self, sigma):
+        # 1e12 would be 8e12 taps (58 TiB), 1e308 overflows an integer tap count
+        with pytest.raises(ShapeError, match="image extent 64 along axis 1 is smaller than"):
+            decompose(np.zeros((64, 64), np.float32), sigma)
+
 
 class TestDecompose:
     def test_exact_recomposition_float32(self):
@@ -126,6 +132,15 @@ class TestDecompose:
             assert band.shape == img.shape and band.dtype == dtype
         assert np.array_equal(low, gaussian_blur(img, DEFAULT_SIGMA))
         assert np.array_equal(high, img - low)
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.uint8, np.bool_])
+    def test_non_floating_image_split_in_float64(self, dtype):
+        img = np.zeros((32, 32), dtype)
+        img[8:24, 8:24] = 1
+        low, high = decompose(img)
+        assert low.dtype == high.dtype == np.float64
+        assert np.array_equal(low, gaussian_blur(img.astype(np.float64), DEFAULT_SIGMA))
+        assert np.allclose(low + high, img, atol=1e-12)
 
     def test_rank_validation(self):
         with pytest.raises(ShapeError):
