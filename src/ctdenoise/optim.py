@@ -1,7 +1,8 @@
-"""Parameter initialization and the Adam optimizer."""
+"""Parameter initialization, gradient clipping and the Adam optimizer."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,6 +30,26 @@ def xavier_init(shape, seed):
     bound = float(np.sqrt(6.0 / fan_sum))
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     return Tensor(rng.uniform(-bound, bound, size=shape).astype(np.float32), requires_grad=True)
+
+
+def clip_grad_norm(grads, max_norm):
+    """Scale ``grads`` in place so that their global L2 norm is at most
+    ``max_norm``; returns the norm before clipping.
+
+    The norm is the ordered sum of each array's own sum of squares. Where
+    a finite gradient's square overflows its dtype, the sums are taken
+    again in float64, so a huge gradient is scaled down rather than to
+    zero. A NaN or infinite gradient keeps its non-finite norm.
+    """
+    with np.errstate(over="ignore"):
+        gnorm = math.sqrt(sum(float(np.sum(g * g)) for g in grads))
+    if math.isinf(gnorm) and all(np.isfinite(g).all() for g in grads):
+        gnorm = math.sqrt(sum(float(np.sum(np.square(g, dtype=np.float64))) for g in grads))
+    if gnorm > max_norm:
+        scale = max_norm / gnorm
+        for g in grads:
+            g *= scale
+    return gnorm
 
 
 @dataclass

@@ -374,9 +374,17 @@ def leaky_relu(x, slope=0.2):
     np.maximum(x.data, arr, out=arr)
 
     def backward(g):
-        one = x.data.dtype.type(1.0)
+        # the factor is where(x > 0, 1, s) bit for bit, without a masked
+        # select: 0 * (1 - s) + s is s, and fl(fl(1 - s) + s) is 1 for every
+        # s in (0, 1) (1 - s is exact for s >= 1/2; below, its rounding error
+        # is at most half an ulp of 1, so the sum rounds back to 1)
         s = x.data.dtype.type(slope)
-        return (g * np.where(x.data > 0, one, s),)
+        f = (x.data > 0).astype(x.data.dtype)
+        f *= 1 - s
+        f += s
+        # g may be another parent's gradient too (add hands both the same
+        # array), so the product goes into f, unless g's dtype is wider
+        return (np.multiply(g, f, out=f if g.dtype == f.dtype else None),)
 
     return _result(arr, (x,), backward)
 

@@ -24,7 +24,7 @@ from .ctsim import AIR_HU, HU, MAX_ABS_HU, CtImage, TrainingPair
 from .freq import decompose
 from .metrics import rmse
 from .model import INPUT_MULTIPLE, ModelConfig, TransCT
-from .optim import AdamState, adam_step
+from .optim import AdamState, adam_step, clip_grad_norm
 from .tensor import NonFiniteError, ShapeError, Tensor, mul, no_grad, sub
 from .tctio import TensorFormatError, frame_header, tensor_from_bytes
 
@@ -333,13 +333,12 @@ def train(model, pairs, val_pairs, cfg, out_dir):
                 raise _diverged("loss at", epoch, ckpt_path)
             model.zero_grad()
             loss.backward()
+            # free this step's graph now, not when the next forward pass
+            # rebinds these names, so two graphs are never alive at once
+            del pred, loss
             grads = [p.grad for p in params]
             if cfg.clip_norm > 0:
-                gnorm = math.sqrt(sum(float(np.sum(g * g)) for g in grads))
-                if gnorm > cfg.clip_norm:
-                    scale = cfg.clip_norm / gnorm
-                    for g in grads:
-                        g *= scale
+                clip_grad_norm(grads, cfg.clip_norm)
             adam_step(params, grads, state, lr)
             losses.append(value)
 

@@ -1,9 +1,12 @@
-"""Adam and Xavier init against an independent textbook reference."""
+"""Adam, gradient clipping and Xavier init against independent references."""
+
+import math
+import warnings
 
 import numpy as np
 import pytest
 
-from ctdenoise.optim import AdamState, adam_step, xavier_init
+from ctdenoise.optim import AdamState, adam_step, clip_grad_norm, xavier_init
 from ctdenoise.tensor import ShapeError, Tensor
 
 from conftest import rel_err
@@ -74,6 +77,53 @@ class TestAdamStep:
             adam_step([p], [], state, lr=1e-3)
         with pytest.raises(ValueError):
             adam_step([p], [None], state, lr=1e-3)
+
+
+class TestClipGradNorm:
+    @staticmethod
+    def ordered_float32_norm(grads):
+        return math.sqrt(sum(float(np.sum(g * g)) for g in grads))
+
+    def test_scales_to_the_cap_with_the_ordered_float32_sum(self):
+        rng = np.random.default_rng(3)
+        grads = [rng.normal(size=s).astype(np.float32) for s in ((4, 3), (5,), (2, 2, 3))]
+        gnorm = self.ordered_float32_norm(grads)
+        want = [g * (0.5 / gnorm) for g in grads]
+        bufs = list(grads)
+        assert clip_grad_norm(grads, 0.5) == gnorm
+        for got, ref, buf in zip(grads, want, bufs):
+            assert got is buf  # in place
+            assert np.array_equal(got.view(np.uint32), ref.view(np.uint32))
+
+    def test_leaves_a_small_norm_alone(self):
+        grads = [np.array([0.3, -0.4], dtype=np.float32)]
+        before = grads[0].copy()
+        assert clip_grad_norm(grads, 1.0) == pytest.approx(0.5)
+        assert np.array_equal(grads[0], before)
+
+    def test_finite_gradient_whose_square_overflows(self):
+        # (2e19)^2 overflows float32; the update is clipped, not zeroed
+        grads = [np.array([2e19, 1.0], dtype=np.float32), np.array([0.5], dtype=np.float32)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            gnorm = clip_grad_norm(grads, 1.0)
+        assert gnorm == pytest.approx(2e19, rel=1e-6)
+        assert grads[0][0] == pytest.approx(1.0, rel=1e-6)
+        assert grads[0][1] == pytest.approx(5e-20, rel=1e-6)
+        assert grads[1][0] == pytest.approx(2.5e-20, rel=1e-6)
+
+    def test_float32_sum_that_overflows(self):
+        # each square is finite, their float32 sum is not
+        grads = [np.full(4, 1.5e19, dtype=np.float32)]
+        assert clip_grad_norm(grads, 2.0) == pytest.approx(3e19, rel=1e-6)
+        assert np.allclose(grads[0], 1.0, rtol=1e-6)
+
+    @pytest.mark.filterwarnings("ignore:invalid value")
+    def test_non_finite_gradient_keeps_its_norm(self):
+        nan = [np.array([np.nan, 1.0], dtype=np.float32)]
+        assert math.isnan(clip_grad_norm(nan, 1.0))
+        inf = [np.array([np.inf, 1.0], dtype=np.float32)]
+        assert clip_grad_norm(inf, 1.0) == math.inf
 
 
 class TestXavierInit:

@@ -5,7 +5,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from ctdenoise import model as model_module
 from ctdenoise import tensor
+from ctdenoise.ctsim import DoseConfig, make_dataset
+from ctdenoise.model import ModelConfig, build_model
+from ctdenoise.training import TrainConfig, train
 from ctdenoise.tensor import (
     NonFiniteError,
     ShapeError,
@@ -222,6 +226,56 @@ class TestNonlinearities:
             out = leaky_relu(Tensor(x), slope=slope).data
             assert out.dtype == dtype
             assert np.array_equal(out.view(bits), ref.view(bits)), slope
+
+    @pytest.mark.filterwarnings("ignore:invalid value")
+    @pytest.mark.parametrize("dtype,bits", [(np.float32, np.uint32), (np.float64, np.uint64)])
+    def test_leaky_relu_gradient_bitwise_equals_where_form(self, dtype, bits):
+        fi = np.finfo(dtype)
+        specials = np.array([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, fi.max, -fi.max,
+                             fi.smallest_normal, -fi.smallest_normal,
+                             fi.smallest_subnormal, -fi.smallest_subnormal], dtype=dtype)
+        rng = np.random.default_rng(8)
+        # every pairing of input and upstream gradient, then random values
+        x = np.concatenate([np.repeat(specials, specials.size),
+                            rng.normal(size=1000).astype(dtype)])
+        g = np.concatenate([np.tile(specials, specials.size),
+                            rng.normal(size=1000).astype(dtype)])
+        slopes = (0.01, 0.2, 1 / 3, np.nextafter(0.5, 1), np.nextafter(0.5, 0), 0.999999, 1e-30)
+        for slope in slopes:
+            factor = np.where(x > 0, dtype(1), dtype(slope))
+            backward = leaky_relu(Tensor(x, requires_grad=True), slope)._backward
+            upstream = g.copy()
+            (grad,) = backward(upstream)
+            assert grad.dtype == dtype
+            assert np.array_equal(grad.view(bits), (g * factor).view(bits)), slope
+            # the upstream gradient may be another parent's too: left as it was
+            assert np.array_equal(upstream.view(bits), g.view(bits)), slope
+            # a wider upstream gradient keeps its dtype, as g * where(...) does
+            wide = g.astype(np.float64)
+            (grad,) = backward(wide)
+            assert np.array_equal(grad.view(np.uint64), (wide * factor).view(np.uint64)), slope
+
+    def test_training_bitwise_equals_where_form(self, tmp_path, monkeypatch):
+        # a tiny run at two batches per epoch writes the same checkpoint
+        # bytes whether leaky_relu's gradient is built by arithmetic (the
+        # library's) or by a masked select (this reference)
+        calls = []
+
+        def where_form(x, slope=0.2):
+            calls.append(slope)
+            one, s = x.data.dtype.type(1), x.data.dtype.type(slope)
+            arr = np.where(x.data > 0, x.data, x.data * s)
+            return tensor._result(arr, (x,), lambda g: (g * np.where(x.data > 0, one, s),))
+
+        pairs = make_dataset(4, 32, DoseConfig(i0=5e4, dose_fraction=0.25), seed=5)
+        cfg = TrainConfig(epochs=3, batch_size=2, lr_schedule=((0, 1e-3),), seed=2)
+        config = ModelConfig(width=0.0625, n_heads=2, ffn_mult=2, seed=3)
+        train(build_model(config), pairs, [], cfg, tmp_path / "library")
+        monkeypatch.setattr(model_module, "leaky_relu", where_form)
+        train(build_model(config), pairs, [], cfg, tmp_path / "where")
+        assert calls
+        assert ((tmp_path / "library" / "checkpoint.tck").read_bytes()
+                == (tmp_path / "where" / "checkpoint.tck").read_bytes())
 
     def test_leaky_relu_slope_domain(self):
         for bad in (0.0, 1.0, -0.1, 2.0):

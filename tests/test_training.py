@@ -5,12 +5,14 @@ import hashlib
 import json
 import math
 import tracemalloc
+import weakref
 from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 import ctdenoise as cd
+from ctdenoise import training
 from ctdenoise.ctsim import HU, MU_PER_MM, CtImage, DoseConfig, TrainingPair, make_dataset
 from ctdenoise.freq import decompose
 from ctdenoise.model import ModelConfig, build_model
@@ -487,6 +489,26 @@ class TestTrainLoop:
         adam_step(params, [g * scale for g in grads], AdamState.for_params(params), 1e-3)
         for got, want in zip(model.parameters(), params):
             assert np.array_equal(got.data, want.data)
+
+    def test_step_graph_is_freed_before_the_update(self, tmp_path, monkeypatch):
+        # Tensor has no weak-reference slot, so watch the arrays only the
+        # step's prediction and loss hold: both die with the graph
+        refs, alive = [], []
+
+        def watched_loss(pred, target):
+            loss = mse_loss(pred, target)
+            refs[:] = [weakref.ref(pred.data), weakref.ref(loss.data)]
+            return loss
+
+        def watched_step(*args, **kwargs):
+            alive.append([ref() is not None for ref in refs])
+            return adam_step(*args, **kwargs)
+
+        monkeypatch.setattr(training, "mse_loss", watched_loss)
+        monkeypatch.setattr(training, "adam_step", watched_step)
+        cfg = TrainConfig(epochs=2, batch_size=1, lr_schedule=((0, 1e-3),), seed=0)
+        train(build_model(ModelConfig(**TINY)), tiny_pairs(2, size=32), [], cfg, tmp_path)
+        assert alive == [[False, False]] * 4
 
     def test_no_transformer_ignores_positional(self, tmp_path):
         # no token stage, so no embedding that would never receive a gradient

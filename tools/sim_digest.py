@@ -32,7 +32,9 @@ The cases:
   of ``make_dataset(9, 64, DoseConfig(i0=2e4, dose_fraction=0.25), seed)``,
   validated on the ninth, for 20 epochs at batch 8 and lr 1e-3 with
   ``TrainConfig.seed = seed``, with seed 1: the benchmark's ``train64``
-  configuration.
+  configuration, one step per epoch.
+- ``train32x16_s{seed}``: the same on the first 16 of 17 pairs at 32x32
+  for 5 epochs, so two steps per epoch, with seed 1.
 
 ``--max-size N`` skips the cases larger than N x N.
 """
@@ -60,12 +62,13 @@ def _pairs_digest(pairs):
     return h.hexdigest()
 
 
-def _train64_digest(cd, seed):
-    pairs = cd.make_dataset(9, 64, cd.DoseConfig(i0=2e4, dose_fraction=0.25), seed=seed)
+def _train_digest(cd, n_train, size, epochs, seed):
+    dose = cd.DoseConfig(i0=2e4, dose_fraction=0.25)
+    pairs = cd.make_dataset(n_train + 1, size, dose, seed=seed)
     model = cd.build_model(cd.ModelConfig(width=0.25, seed=seed))
-    cfg = cd.TrainConfig(epochs=20, batch_size=8, lr_schedule=((0, 1e-3),), seed=seed)
+    cfg = cd.TrainConfig(epochs=epochs, batch_size=8, lr_schedule=((0, 1e-3),), seed=seed)
     with tempfile.TemporaryDirectory() as out:
-        cd.train(model, pairs[:8], pairs[8:], cfg, out)
+        cd.train(model, pairs[:n_train], pairs[n_train:], cfg, out)
         return hashlib.sha256((Path(out) / "checkpoint.tck").read_bytes()).hexdigest()
 
 
@@ -101,7 +104,9 @@ def digests(cd, seed=0, max_size=None):
         out = cd.denoise_image(model, ctsim.CtImage(phantom.grid + noise, ctsim.HU))
         lines.append(f"denoise{n}_s{seed} {hashlib.sha256(out.grid.tobytes()).hexdigest()}")
     if fits(64):
-        lines.append(f"train64_s{seed + 1} {_train64_digest(cd, seed + 1)}")
+        lines.append(f"train64_s{seed + 1} {_train_digest(cd, 8, 64, 20, seed + 1)}")
+    if fits(32):
+        lines.append(f"train32x16_s{seed + 1} {_train_digest(cd, 16, 32, 5, seed + 1)}")
     return lines
 
 
