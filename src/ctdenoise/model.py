@@ -128,19 +128,20 @@ class Conv2d(Module):
         self.weight = xavier_init((cout, cin, k, k), rng)
         self.bias = Tensor(np.zeros(cout, dtype=np.float32), requires_grad=True)
 
-    def __call__(self, x):
-        return conv2d(x, self.weight, self.bias, stride=self.stride)
+    def __call__(self, x, slope=None):
+        """The conv, then a leaky ReLU with ``slope`` unless it is None."""
+        return conv2d(x, self.weight, self.bias, stride=self.stride, slope=slope)
 
 
 class ConvAct(Module):
-    """3x3 conv followed by leaky ReLU."""
+    """3x3 conv followed by leaky ReLU, applied in place by the conv."""
 
     def __init__(self, cin, cout, rng, stride=1, slope=0.2):
         self.conv = Conv2d(cin, cout, rng, stride=stride)
         self.slope = slope
 
     def __call__(self, x):
-        return leaky_relu(self.conv(x), self.slope)
+        return self.conv(x, slope=self.slope)
 
 
 class Linear(Module):
@@ -163,7 +164,7 @@ class ResBlock(Module):
         self.slope = slope
 
     def __call__(self, x):
-        y = self.conv2(leaky_relu(self.conv1(x), self.slope))
+        y = self.conv2(self.conv1(x, slope=self.slope))
         skip = x if self.proj is None else self.proj(x)
         return add(y, skip)
 

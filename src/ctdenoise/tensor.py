@@ -365,26 +365,53 @@ def concat(tensors, axis):
 # -- nonlinearities -----------------------------------------------------
 
 
-def leaky_relu(x, slope=0.2):
+def _check_slope(slope):
     if not 0.0 < slope < 1.0:
         raise ValueError(f"leaky_relu slope must lie in (0,1), got {slope}")
+
+
+# elements per chunk of an in-place leaky ReLU: 256 KiB of float32 scratch
+_ACT_CHUNK = 2**16
+
+
+def _leaky_relu_(a, s):
+    """Leaky ReLU with slope ``s`` (a scalar of ``a``'s dtype) written into
+    the contiguous array ``a``, one chunk at a time through one chunk of
+    scratch. Bit for bit the out-of-place form: max(x, x * s)."""
+    flat = a.reshape(-1)
+    t = np.empty(min(flat.size, _ACT_CHUNK), dtype=a.dtype)
+    for i in range(0, flat.size, _ACT_CHUNK):
+        c = flat[i : i + _ACT_CHUNK]
+        u = t[: c.size]
+        np.multiply(c, s, out=u)
+        np.maximum(c, u, out=c)
+
+
+def _leaky_relu_grad(g, v, s):
+    """``g * where(v > 0, 1, s)`` bit for bit, without a masked select;
+    ``v`` is the input of the leaky ReLU, or its output: for 0 < s < 1 the
+    two are positive at the same places."""
+    # 0 * (1 - s) + s is s, and fl(fl(1 - s) + s) is 1 for every s in (0, 1)
+    # (1 - s is exact for s >= 1/2; below, its rounding error is at most
+    # half an ulp of 1, so the sum rounds back to 1)
+    f = (v > 0).astype(v.dtype)
+    f *= 1 - s
+    f += s
+    # g may be another parent's gradient too (add hands both the same
+    # array), so the product goes into f, unless g's dtype is wider
+    return np.multiply(g, f, out=f if g.dtype == f.dtype else None)
+
+
+def leaky_relu(x, slope=0.2):
+    _check_slope(slope)
     # for 0 < slope < 1 this equals where(x > 0, x, x * slope) bit for bit,
     # signed zeros, NaN, inf and subnormals included
-    arr = x.data * x.data.dtype.type(slope)
+    s = x.data.dtype.type(slope)
+    arr = x.data * s
     np.maximum(x.data, arr, out=arr)
 
     def backward(g):
-        # the factor is where(x > 0, 1, s) bit for bit, without a masked
-        # select: 0 * (1 - s) + s is s, and fl(fl(1 - s) + s) is 1 for every
-        # s in (0, 1) (1 - s is exact for s >= 1/2; below, its rounding error
-        # is at most half an ulp of 1, so the sum rounds back to 1)
-        s = x.data.dtype.type(slope)
-        f = (x.data > 0).astype(x.data.dtype)
-        f *= 1 - s
-        f += s
-        # g may be another parent's gradient too (add hands both the same
-        # array), so the product goes into f, unless g's dtype is wider
-        return (np.multiply(g, f, out=f if g.dtype == f.dtype else None),)
+        return (_leaky_relu_grad(g, x.data, s),)
 
     return _result(arr, (x,), backward)
 
@@ -494,12 +521,15 @@ def attention(q, k, v, n_heads):
     return _result(out.reshape(B, N, C), (q, k, v), backward)
 
 
-def conv2d(x, weight, bias, stride=1):
+def conv2d(x, weight, bias, stride=1, slope=None):
     """2-d cross-correlation with "same" zero padding.
 
     ``x`` is (B, Cin, H, W), ``weight`` (Cout, Cin, k, k) with odd k,
     ``bias`` (Cout,). Same padding of k//2 per side gives output spatial
-    extents ceil(H/stride), so stride 2 exactly halves even inputs.
+    extents ceil(H/stride), so stride 2 exactly halves even inputs. With a
+    ``slope`` in (0, 1) the result is ``leaky_relu(conv2d(...), slope)``
+    bit for bit, gradients included, but the activation is applied in
+    place and no pre-activation map is kept.
     """
     if x.ndim != 4 or weight.ndim != 4:
         raise ShapeError(f"conv2d needs 4-d input/weight, got {x.shape} and {weight.shape}")
@@ -519,6 +549,9 @@ def conv2d(x, weight, bias, stride=1):
         raise ShapeError(f"conv2d bias must have shape ({Cout},), got {bias.shape}")
     if not (isinstance(stride, (int, np.integer)) and stride >= 1):
         raise ValueError(f"stride must be a positive int, got {stride}")
+    if slope is not None:
+        _check_slope(slope)
+        s = x.data.dtype.type(slope)
 
     pad = k // 2
     Hp, Wp = H + 2 * pad, W + 2 * pad
@@ -532,13 +565,15 @@ def conv2d(x, weight, bias, stride=1):
     # 2000-step overfit gate is sensitive to that. With a graph, backward
     # reads all columns, so one band makes them; without one, a buffer for
     # the largest band is reused. The bands split Ho evenly, as in
-    # ``attention``, so none is much smaller than the others.
+    # ``attention``, so none is much smaller than the others. A leaky ReLU
+    # acts on each band's product before it is written out.
     keep = _records((x, weight, bias))
     n_bands = 1 if keep else -(-Ho // max(1, _CONV_COLS // (B * Wo * K)))
     bounds = [Ho * b // n_bands for b in range(n_bands + 1)]
     rows = -(-Ho // n_bands)
     cols = np.empty((B, rows, Wo, C, k, k), dtype=x.data.dtype)
-    prod = np.empty((B, rows * Wo, Cout), dtype=x.data.dtype)
+    # flat, so that each band's product is one contiguous block
+    prod = np.empty(B * rows * Wo * Cout, dtype=x.data.dtype)
     arr = np.empty((B, Cout, Ho, Wo), dtype=x.data.dtype)
     for r0, r1 in zip(bounds[:-1], bounds[1:]):
         n = r1 - r0
@@ -553,12 +588,16 @@ def conv2d(x, weight, bias, stride=1):
             for j in range(k):
                 band[..., i, j] = xh[:, i : i + stride * n : stride, j : j + stride * Wo : stride]
         del xh
-        out = prod[:, : n * Wo]
+        out = prod[: B * n * Wo * Cout].reshape(B, n * Wo, Cout)
         np.matmul(band.reshape(B, n * Wo, K), wmat.T, out=out)
         out += bias.data
+        if slope is not None:
+            _leaky_relu_(out, s)
         arr[:, :, r0:r1] = out.reshape(B, n, Wo, Cout).transpose(0, 3, 1, 2)
 
     def backward(g):
+        if slope is not None:
+            g = _leaky_relu_grad(g, arr, s)
         gmat = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(B, Ho * Wo, Cout)
         gx = gw = gb = None
         if weight.requires_grad:

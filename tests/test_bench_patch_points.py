@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from ctdenoise import ctsim
+from ctdenoise import model as model_module
 from ctdenoise.model import ModelConfig, build_model
 from ctdenoise.tensor import Tensor, tsum
 
@@ -42,6 +43,39 @@ def test_every_stage_of_the_variant_is_timed(variant):
     assert timed == set(STAGES_OF[variant])
     assert tracer.totals["model.forward.fwd_ms"] > 0
     assert tracer.patcher.leftovers == []
+
+
+def test_traced_conv_flop_count_matches_the_layer_shapes():
+    # the tracer reads conv2d's stride from its call arguments; here every
+    # Conv2d's own shapes and stride give the count instead, so a call that
+    # passes another argument in stride's place fails here
+    model = build_model(ModelConfig(width=0.25, seed=0))
+    rng = np.random.default_rng(0)
+    low = Tensor(rng.normal(size=(2, 1, 64, 64)).astype(np.float32))
+    high = Tensor(rng.normal(size=(2, 1, 64, 64)).astype(np.float32))
+    convs = []
+
+    def record(orig):
+        def call(conv, x, *args, **kwargs):
+            B, C, H, W = x.shape
+            cout, _, k, _ = conv.weight.shape
+            s = conv.stride
+            macs = B * -(-H // s) * -(-W // s) * cout * C * k * k
+            convs.append((macs, x.requires_grad))
+            return orig(conv, x, *args, **kwargs)
+        return call
+
+    with Tracer() as tracer, Patcher() as patcher:
+        patcher.patch_method(model_module.Conv2d, "__call__", record)
+        loss = tsum(model(low, high))
+        forward = tracer.totals["tensor.conv2d.flop"]
+        loss.backward()
+    assert len(convs) == tracer.totals["tensor.conv2d.calls"] > 0
+    assert forward == sum(2 * macs for macs, _ in convs)
+    # backward: the weight gradient, and the input's where it needs one
+    assert tracer.totals["tensor.conv2d.flop"] == forward + sum(
+        2 * macs * (1 + needs_grad) for macs, needs_grad in convs)
+    assert tracer.patcher.leftovers == patcher.leftovers == []
 
 
 def _workload_patches():

@@ -8,7 +8,7 @@ import pytest
 from ctdenoise import model as model_module
 from ctdenoise import tensor
 from ctdenoise.ctsim import DoseConfig, make_dataset
-from ctdenoise.model import ModelConfig, build_model
+from ctdenoise.model import ConvAct, ModelConfig, build_model
 from ctdenoise.training import TrainConfig, train
 from ctdenoise.tensor import (
     NonFiniteError,
@@ -33,7 +33,7 @@ from ctdenoise.tensor import (
     tsum,
 )
 
-from conftest import rel_err
+from conftest import gradcheck, rel_err
 
 
 def conv2d_reference(x, w, b, stride):
@@ -88,6 +88,10 @@ def conv2d_im2col_reference(x, w, b, stride, g):
             )
     gx = np.ascontiguousarray(gxp[:, :, pad : pad + H, pad : pad + W])
     return out, gx, gw, gb
+
+
+def _bits(a):
+    return a.view(np.uint32 if a.dtype == np.float32 else np.uint64)
 
 
 def shuffle_reference(x, r):
@@ -506,6 +510,134 @@ class TestConv2d:
                 Tensor(np.zeros((3, 5, 3, 3))),
                 Tensor(np.zeros(3)),
             )
+
+
+class TestConv2dLeakyRelu:
+    """``conv2d(..., slope=s)`` against ``leaky_relu(conv2d(...), s)``."""
+
+    SLOPE = 0.2
+
+    @staticmethod
+    def _operands(dtype, k):
+        rng = np.random.default_rng(21)
+        x = rng.normal(size=(2, 3, 13, 6)).astype(dtype)
+        w = rng.normal(size=(6, 3, k, k)).astype(dtype)
+        b = rng.normal(size=6).astype(dtype)
+        # zero weights leave the biases as the pre-activations of the first
+        # five channels: +0 twice (a zero sum plus a bias of +0 or -0), NaN,
+        # +inf and -inf; signed zeros meet the activation in the chunk test
+        w[:5] = 0
+        b[:5] = [0.0, -0.0, np.nan, np.inf, -np.inf]
+        return x, w, b
+
+    @pytest.mark.filterwarnings("ignore:invalid value")
+    @pytest.mark.parametrize("bands", ["one", "several"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_bitwise_equals_separate_ops(self, monkeypatch, k, stride, dtype, bands):
+        x, w, b = self._operands(dtype, k)
+        B, C, H, W = x.shape
+        Ho, Wo = -(-H // stride), -(-W // stride)
+        if bands == "several":
+            # graph-free bands of at most 3 output rows, activated 5 elements
+            # at a time; a recorded graph still makes one band
+            monkeypatch.setattr(tensor, "_CONV_COLS", 3 * B * Wo * C * k * k)
+            monkeypatch.setattr(tensor, "_ACT_CHUNK", 5)
+        g = np.random.default_rng(22).normal(size=(B, 6, Ho, Wo)).astype(dtype)
+
+        def run(fused):
+            tx, tw, tb = (Tensor(a, requires_grad=True) for a in (x, w, b))
+
+            def layer():
+                if fused:
+                    return conv2d(tx, tw, tb, stride=stride, slope=self.SLOPE)
+                return leaky_relu(conv2d(tx, tw, tb, stride=stride), self.SLOPE)
+
+            with no_grad():
+                free = layer()
+            out = layer()
+            # the upstream gradient reaching the activation is exactly g
+            tsum(mul(out, Tensor(g))).backward()
+            return free.data, out.data, tx.grad, tw.grad, tb.grad
+
+        fused, separate = run(True), run(False)
+        out = fused[1]
+        assert np.isnan(out[:, 2]).all() and np.isposinf(out[:, 3]).all()
+        assert np.isneginf(out[:, 4]).all() and (out[:, :2] == 0).all()
+        for got, want in zip(fused, separate):
+            assert got.dtype == want.dtype == dtype and got.shape == want.shape
+            assert np.array_equal(_bits(got), _bits(want))
+
+    def test_gradcheck_float64(self):
+        rng = np.random.default_rng(23)
+        gradcheck(
+            lambda x, w, b: conv2d(x, w, b, stride=2, slope=self.SLOPE),
+            [rng.normal(size=(2, 2, 6, 5)), rng.normal(size=(3, 2, 3, 3)), rng.normal(size=3)],
+            1e-4,
+        )
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("size", [1, 2**16 - 1, 2**16, 2**16 + 1, 3 * 2**16 + 5])
+    def test_in_place_chunks_equal_where_form(self, dtype, size):
+        assert tensor._ACT_CHUNK == 2**16
+        fi = np.finfo(dtype)
+        specials = [-0.0, 0.0, np.nan, -np.nan, np.inf, -np.inf, fi.max, -fi.max,
+                    fi.smallest_subnormal, -fi.smallest_subnormal]
+        pattern = np.concatenate([np.array(specials, dtype=dtype),
+                                  np.random.default_rng(24).normal(size=97).astype(dtype)])
+        a = np.resize(pattern, size)
+        s = dtype(self.SLOPE)
+        want = np.where(a > 0, a, a * s)
+        tensor._leaky_relu_(a, s)
+        assert np.array_equal(_bits(a), _bits(want))
+
+    def test_slope_outside_unit_interval_refused(self):
+        x = Tensor(np.zeros((1, 2, 4, 4)))
+        w, b = Tensor(np.zeros((3, 2, 3, 3))), Tensor(np.zeros(3))
+        for bad in (0.0, 1.0, -0.1, 2.0, float("nan")):
+            with pytest.raises(ValueError) as fused:
+                conv2d(x, w, b, slope=bad)
+            with pytest.raises(ValueError) as alone:
+                leaky_relu(x, slope=bad)
+            assert str(fused.value) == str(alone.value)
+
+    # trunk1 of a 512x512 denoise: a (1, 16, 256, 256) float32 map is 4 MiB
+    MAP_BYTES = 16 * 256 * 256 * 4
+
+    @staticmethod
+    def _trunk1():
+        layer = ConvAct(1, 16, np.random.default_rng(25), stride=2)
+        x = Tensor(np.random.default_rng(26).normal(size=(1, 1, 512, 512)).astype(np.float32))
+        return layer, x
+
+    def test_graph_free_layer_makes_one_map(self):
+        # the activation allocates no second map: besides the output there
+        # are one band's im2col columns (0.76 MiB) and product (1.34 MiB);
+        # a separate leaky_relu would peak at two maps
+        layer, x = self._trunk1()
+        tracemalloc.start()
+        try:
+            with no_grad():
+                out = layer(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (1, 16, 256, 256) and not out.requires_grad
+        assert peak < 1.75 * self.MAP_BYTES, peak
+
+    def test_recorded_layer_holds_one_map(self):
+        # one graph node, the conv's, holding its output and its columns
+        layer, x = self._trunk1()
+        cols_bytes = 256 * 256 * 9 * 4
+        tracemalloc.start()
+        try:
+            out = layer(x)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held < self.MAP_BYTES + cols_bytes + 2**20, held
+        assert out._parents == (x, layer.conv.weight, layer.conv.bias)
 
 
 class TestPixelShuffle:

@@ -205,6 +205,19 @@ class TestDenoiseImage:
         graph_free = peak(lambda: denoise_image(model, img))
         assert graph_free < recorded / 2, (graph_free, recorded)
 
+    def test_peak_memory_at_512(self):
+        # conv layers activate in place and the padded input is dropped
+        # before the forward pass; a separate leaky_relu peaked at 11.0 MiB
+        model = build_model(ModelConfig(width=0.25, seed=0))
+        img = CtImage(np.random.default_rng(7).uniform(-500, 500, (512, 512)).astype(np.float32), HU)
+        tracemalloc.start()
+        try:
+            denoise_image(model, img)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 9.0 * 2**20, peak
+
 
 class TestValidate:
     def test_perfect_stub_scores_zero(self):
