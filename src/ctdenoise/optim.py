@@ -10,25 +10,26 @@ import numpy as np
 from .tensor import ShapeError, Tensor
 
 
-def xavier_init(shape, seed):
+def xavier_init(shape, rng):
     """Uniform Xavier/Glorot sample on +-sqrt(6 / (fan_in + fan_out)).
 
     Fans come from the first two extents times the receptive-field size
     (product of any trailing extents), so conv kernels (Cout, Cin, k, k)
-    and linear weights (c_in, c_out) are both covered. ``seed`` may be an
-    int or an existing ``numpy.random.Generator``. Returns a trainable
-    float32 leaf tensor; for ``seed=None`` nothing is drawn and its values
-    are undefined, for a loader that overwrites every parameter.
+    and linear weights (c_in, c_out) are both covered. ``rng`` is the
+    ``numpy.random.Generator`` to draw from, as in ``TransCT(config, rng)``;
+    for ``rng=None`` nothing is drawn and the values are undefined, for a
+    loader that overwrites every parameter. Returns a trainable float32
+    leaf ``Tensor``; like every ``Tensor`` it defines no arithmetic
+    operators, and the ops are the functions in ``ctdenoise.tensor``.
     """
     shape = tuple(int(s) for s in shape)
     if len(shape) < 2:
         raise ShapeError(f"xavier_init needs rank >= 2, got shape {shape}")
-    if seed is None:
+    if rng is None:
         return Tensor(np.empty(shape, dtype=np.float32), requires_grad=True)
     receptive = int(np.prod(shape[2:])) if len(shape) > 2 else 1
     fan_sum = (shape[0] + shape[1]) * receptive
     bound = float(np.sqrt(6.0 / fan_sum))
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     return Tensor(rng.uniform(-bound, bound, size=shape).astype(np.float32), requires_grad=True)
 
 
@@ -93,4 +94,3 @@ def adam_step(params, grads, state, lr):
         v *= beta2
         v += (1.0 - beta2) * (g * g)
         p.data -= (lr / c1) * m / (np.sqrt(v / c2) + eps)
-    return params, state

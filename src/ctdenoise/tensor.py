@@ -4,9 +4,11 @@ The engine is deliberately small. Every operation computes its result
 eagerly and records a closure that maps the output gradient back to the
 input gradients; ``Tensor.backward()`` then walks the recorded graph once
 in reverse topological order; inside ``no_grad()`` nothing is recorded.
-``add``, ``sub`` and ``mul`` broadcast as numpy does (``linear``'s bias add
-needs it), and only float32/float64 data is allowed: float32 is the
-compute default, float64 exists for finite-difference gradient checking.
+``Tensor`` defines no arithmetic operators: every op is a function in this
+module taking ``Tensor`` operands. ``add``, ``sub`` and ``mul`` broadcast
+as numpy does (``linear``'s bias add needs it), and only float32/float64
+data is allowed: float32 is the compute default, float64 exists for
+finite-difference gradient checking.
 """
 
 from __future__ import annotations
@@ -81,10 +83,6 @@ class Tensor:
             raise ShapeError(f"item() needs a scalar tensor, got shape {self.shape}")
         return float(self.data.item())
 
-    def detach(self):
-        """Same data, cut loose from the graph."""
-        return Tensor(self.data)
-
     def zero_grad(self):
         self.grad = None
 
@@ -137,22 +135,6 @@ class Tensor:
                     flowing[key] = flowing[key] + pg
                 else:
                     flowing[key] = pg
-
-    # -- operator sugar ------------------------------------------------
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def sum(self, axis=None, keepdims=False):
-        return tsum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return tmean(self, axis=axis, keepdims=keepdims)
 
     def __repr__(self):
         flag = ", requires_grad=True" if self.requires_grad else ""
@@ -212,17 +194,10 @@ def _unbroadcast(g, shape):
     return g
 
 
-def _coerce_operand(a, like):
-    if isinstance(a, Tensor):
-        return a
-    return Tensor(np.asarray(a, dtype=like.data.dtype))
-
-
 # -- elementwise and linear algebra ------------------------------------
 
 
 def add(a, b):
-    b = _coerce_operand(b, a)
     try:
         arr = a.data + b.data
     except ValueError:
@@ -235,7 +210,6 @@ def add(a, b):
 
 
 def sub(a, b):
-    b = _coerce_operand(b, a)
     try:
         arr = a.data - b.data
     except ValueError:
@@ -255,7 +229,6 @@ def neg(a):
 
 
 def mul(a, b):
-    b = _coerce_operand(b, a)
     try:
         arr = a.data * b.data
     except ValueError:
@@ -290,10 +263,6 @@ def matmul(a, b):
 
 def linear(x, weight, bias):
     """Token-wise affine map: x[..., c_in] @ weight[c_in, c_out] + bias."""
-    if x.shape[-1] != weight.shape[0]:
-        raise ShapeError(
-            f"linear: input dim {x.shape} does not match weight {weight.shape}"
-        )
     return add(matmul(x, weight), bias)
 
 

@@ -25,7 +25,7 @@ from .freq import decompose
 from .metrics import rmse
 from .model import INPUT_MULTIPLE, ModelConfig, TransCT
 from .optim import AdamState, adam_step, clip_grad_norm
-from .tensor import NonFiniteError, ShapeError, Tensor, mul, no_grad, sub
+from .tensor import NonFiniteError, ShapeError, Tensor, mul, no_grad, sub, tmean
 from .tctio import TensorFormatError, frame_header, tensor_from_bytes
 
 log = logging.getLogger(__name__)
@@ -62,7 +62,13 @@ class TrainConfig:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if not (math.isfinite(self.clip_norm) and self.clip_norm >= 0):
             raise ValueError(f"clip_norm must be finite and >= 0, got {self.clip_norm}")
-        sched = tuple((int(e), float(lr)) for e, lr in self.lr_schedule)
+        for e, lr in self.lr_schedule:
+            # bool subclasses int; an int or a float rate is taken, as a float field takes it
+            if (not isinstance(e, int) or not isinstance(lr, (int, float))
+                    or isinstance(e, bool) or isinstance(lr, bool)):
+                raise TypeError(f"lr_schedule must be (int epoch, float rate) pairs, "
+                                f"got ({e!r}, {lr!r})")
+        sched = tuple((e, float(lr)) for e, lr in self.lr_schedule)
         if not sched or sched[0][0] != 0:
             raise ValueError("lr_schedule must start at epoch 0")
         epochs = [e for e, _ in sched]
@@ -87,7 +93,7 @@ def mse_loss(pred, target):
     if pred.shape != target.shape:
         raise ShapeError(f"mse_loss shapes disagree: {pred.shape} vs {target.shape}")
     diff = sub(pred, target)
-    return mul(diff, diff).mean()
+    return tmean(mul(diff, diff))
 
 
 # -- inference helpers ----------------------------------------------------

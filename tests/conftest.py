@@ -9,7 +9,7 @@ import pytest
 import ctdenoise as cd
 from ctdenoise import model as model_module
 from ctdenoise.model import MultiHeadAttention, TransCT
-from ctdenoise.tensor import Tensor
+from ctdenoise.tensor import Tensor, mul, tsum
 from ctdenoise.training import CHECKPOINT_MAGIC
 
 # .tck headers that are valid JSON but not what save_checkpoint writes
@@ -129,7 +129,7 @@ def gradcheck(op, arrays, tol=1e-4, h=1e-5, seed=0):
         out = op(*tensors)
         if "probe" not in probe_holder:
             probe_holder["probe"] = np.random.default_rng(seed).normal(size=out.shape)
-        loss = (out * Tensor(probe_holder["probe"])).sum()
+        loss = tsum(mul(out, Tensor(probe_holder["probe"])))
         return loss, tensors
 
     loss, tensors = run(arrays)

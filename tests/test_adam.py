@@ -128,22 +128,22 @@ class TestClipGradNorm:
 
 class TestXavierInit:
     def test_linear_bound(self):
-        w = xavier_init((30, 50), seed=0).data
+        w = xavier_init((30, 50), np.random.default_rng(0)).data
         bound = np.sqrt(6.0 / 80.0)
         assert np.abs(w).max() <= bound
         assert np.abs(w).max() > 0.8 * bound  # actually fills the range
 
     def test_conv_bound_includes_receptive_field(self):
-        w = xavier_init((8, 4, 3, 3), seed=1).data
+        w = xavier_init((8, 4, 3, 3), np.random.default_rng(1)).data
         bound = np.sqrt(6.0 / ((8 + 4) * 9))
         assert np.abs(w).max() <= bound
         # variance of U(-b, b) is b^2/3
         assert np.isclose(w.var(), bound**2 / 3.0, rtol=0.15)
 
     def test_deterministic_per_seed(self):
-        a = xavier_init((5, 5), seed=7).data
-        b = xavier_init((5, 5), seed=7).data
-        c = xavier_init((5, 5), seed=8).data
+        a = xavier_init((5, 5), np.random.default_rng(7)).data
+        b = xavier_init((5, 5), np.random.default_rng(7)).data
+        c = xavier_init((5, 5), np.random.default_rng(8)).data
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
@@ -155,7 +155,7 @@ class TestXavierInit:
 
     def test_rank_validation(self):
         with pytest.raises(ShapeError):
-            xavier_init((5,), seed=0)
+            xavier_init((5,), np.random.default_rng(0))
 
     def test_no_generator_draws_nothing(self, monkeypatch):
         # for a loader that overwrites every parameter: no generator is made

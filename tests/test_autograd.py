@@ -52,7 +52,8 @@ def _attention_chain(q, k, v, n_heads):
     qh = transpose(reshape(q, (B, N, h, d)), (0, 2, 1, 3))
     kh = transpose(reshape(k, (B, M, h, d)), (0, 2, 3, 1))
     vh = transpose(reshape(v, (B, M, h, d)), (0, 2, 1, 3))
-    p = softmax(matmul(qh, kh) * (1.0 / np.sqrt(d)), axis=-1)
+    scale = Tensor(np.array(1.0 / np.sqrt(d), dtype=q.dtype))
+    p = softmax(mul(matmul(qh, kh), scale), axis=-1)
     return reshape(transpose(matmul(p, vh), (0, 2, 1, 3)), (B, N, C))
 
 
@@ -133,7 +134,7 @@ class TestNonlinearityGrads:
 
     def test_leaky_relu_subgradient_at_zero(self):
         x = Tensor(np.zeros(3), requires_grad=True)
-        leaky_relu(x, 0.2).sum().backward()
+        tsum(leaky_relu(x, 0.2)).backward()
         assert np.allclose(x.grad, 0.2)
 
     def test_softmax(self):
@@ -205,7 +206,7 @@ class TestAttentionGrads:
         for op in (attention, _attention_chain):
             q, k, v = (Tensor(a, requires_grad=True) for a in arrays)
             out = op(q, k, v, 2)
-            (out * Tensor(probe)).sum().backward()
+            tsum(mul(out, Tensor(probe))).backward()
             results.append([out.data, q.grad, k.grad, v.grad])
         with no_grad():
             results[0].append(attention(*(Tensor(a) for a in arrays), 2).data)
@@ -219,12 +220,12 @@ class TestGraphSemantics:
         # f(x) = sum((x + x) * x); df/dx = 4x — the node x appears three times
         x = Tensor(np.array([1.0, -2.0, 3.0]), requires_grad=True)
         y = mul(add(x, x), x)
-        y.sum().backward()
+        tsum(y).backward()
         assert np.allclose(x.grad, 4.0 * x.data)
 
     def test_repeated_backward_accumulates(self):
         x = Tensor(np.ones(3), requires_grad=True)
-        loss = mul(x, x).sum()
+        loss = tsum(mul(x, x))
         loss.backward()
         first = x.grad.copy()
         loss.backward()
@@ -260,8 +261,8 @@ class TestGraphSemantics:
     def test_grad_stops_at_detach(self):
         x = Tensor(np.ones(3), requires_grad=True)
         y = mul(x, Tensor(np.full(3, 2.0)))
-        z = mul(y.detach(), x)
-        z.sum().backward()
+        z = mul(Tensor(y.data), x)  # a leaf on y's data: the graph is cut there
+        tsum(z).backward()
         assert np.allclose(x.grad, 2.0)  # only the direct path contributes
 
     def test_backward_requires_scalar(self):
@@ -295,7 +296,7 @@ class TestGraphSemantics:
 
     def test_float32_graph_keeps_dtype_but_grads_flow(self):
         x = Tensor(np.ones((2, 2), dtype=np.float32), requires_grad=True)
-        loss = mul(x, x).mean()
+        loss = tmean(mul(x, x))
         assert loss.dtype == np.float32
         loss.backward()
         assert x.grad.dtype == np.float32
@@ -305,12 +306,12 @@ class TestGraphSemantics:
 class TestNoGrad:
     def _op(self, x):
         return tsum(mul(conv2d(x, Tensor(np.ones((2, 1, 3, 3)), requires_grad=True),
-                               Tensor(np.zeros(2))), 2.0))
+                               Tensor(np.zeros(2))), Tensor(np.array(2.0))))
 
     def test_records_nothing(self):
         x = Tensor(np.ones((1, 1, 4, 4)), requires_grad=True)
         with no_grad():
-            outs = [self._op(x), softmax(x, axis=-1), matmul(x, x), add(x, 1.0)]
+            outs = [self._op(x), softmax(x, axis=-1), matmul(x, x), add(x, Tensor(np.ones(1)))]
         for out in outs:
             assert not out.requires_grad
             assert out._backward is None and out._parents == ()
@@ -337,7 +338,7 @@ class TestNoGrad:
         rng = np.random.default_rng(22)
         x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
         with no_grad():
-            mul(x, x).sum()
-        loss = mul(x, x).sum()
+            tsum(mul(x, x))
+        loss = tsum(mul(x, x))
         loss.backward()
         assert np.array_equal(x.grad, 2.0 * x.data)

@@ -102,8 +102,15 @@ class TestLrSchedule:
         with pytest.raises(ValueError, match="clip_norm"):
             TrainConfig(clip_norm=-1.0)
 
-    @pytest.mark.parametrize("field, value", [("epochs", 2.5), ("batch_size", True),
-                                              ("seed", 1.0), ("clip_norm", "1")])
+    @pytest.mark.parametrize("field, value", [
+        ("epochs", 2.5), ("batch_size", True), ("seed", 1.0), ("clip_norm", "1"),
+        # int() would floor epoch 2.7 to 2 and drop the rate an epoch early
+        ("lr_schedule", ((0, 1e-3), (2.7, 1e-4))),
+        ("lr_schedule", ((0, 1e-3), ("5", 1e-4))),
+        ("lr_schedule", ((False, 1e-3),)),
+        ("lr_schedule", ((0, True),)),
+        ("lr_schedule", ((0, "1e-3"),)),
+    ])
     def test_field_types_checked(self, field, value):
         with pytest.raises(TypeError, match=f"^{field} must be "):
             TrainConfig(**{field: value})
