@@ -34,7 +34,7 @@ CHECKPOINT_MAGIC = b"TCK1"
 
 
 class TrainingDiverged(RuntimeError):
-    """Raised when the loss goes non-finite; the last epoch checkpoint on
+    """Raised when training goes non-finite; the last epoch checkpoint on
     disk, if the run wrote one, predates the divergence."""
 
 
@@ -62,12 +62,14 @@ class TrainConfig:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if not (math.isfinite(self.clip_norm) and self.clip_norm >= 0):
             raise ValueError(f"clip_norm must be finite and >= 0, got {self.clip_norm}")
-        for e, lr in self.lr_schedule:
+        if not isinstance(self.lr_schedule, (tuple, list)):
+            raise TypeError(f"lr_schedule must be a tuple of pairs, got {self.lr_schedule!r}")
+        for pair in self.lr_schedule:
             # bool subclasses int; an int or a float rate is taken, as a float field takes it
-            if (not isinstance(e, int) or not isinstance(lr, (int, float))
-                    or isinstance(e, bool) or isinstance(lr, bool)):
-                raise TypeError(f"lr_schedule must be (int epoch, float rate) pairs, "
-                                f"got ({e!r}, {lr!r})")
+            if not (isinstance(pair, (tuple, list)) and len(pair) == 2
+                    and isinstance(pair[0], int) and isinstance(pair[1], (int, float))
+                    and not any(isinstance(v, bool) for v in pair)):
+                raise TypeError(f"lr_schedule must be (int epoch, float rate) pairs, got {pair!r}")
         sched = tuple((e, float(lr)) for e, lr in self.lr_schedule)
         if not sched or sched[0][0] != 0:
             raise ValueError("lr_schedule must start at epoch 0")
@@ -294,9 +296,9 @@ def train(model, pairs, val_pairs, cfg, out_dir):
 
     Writes ``checkpoint.tck`` and ``history.csv`` under ``out_dir`` after
     every epoch; a ``checkpoint.tck`` already there is removed before
-    epoch 0. A non-finite loss raises TrainingDiverged and leaves the
-    previous epoch's checkpoint in place; at epoch 0 no checkpoint is
-    written.
+    epoch 0. A non-finite loss, parameter or validation image raises
+    TrainingDiverged and leaves the previous epoch's checkpoint in place;
+    at epoch 0 no checkpoint is written.
     """
     check_training_pairs(pairs, val_pairs)
     os.makedirs(out_dir, exist_ok=True)
@@ -327,14 +329,9 @@ def train(model, pairs, val_pairs, cfg, out_dir):
             x_low = Tensor(lows[idx])
             x_high = Tensor(highs[idx])
             target = Tensor(targets[idx])
-            try:
-                pred = model(x_low, x_high)
-                loss = mse_loss(pred, target)
-                value = loss.item()
-            except NonFiniteError:
-                # exploded parameters can overflow inside the forward pass
-                # before the loss itself ever goes non-finite
-                value = float("nan")
+            pred = model(x_low, x_high)
+            loss = mse_loss(pred, target)
+            value = loss.item()
             if not np.isfinite(value):
                 raise _diverged("loss at", epoch, ckpt_path)
             model.zero_grad()

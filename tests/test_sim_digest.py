@@ -17,7 +17,8 @@ def test_repeatable_and_seeded():
     lines = sim_digest.digests(ctdenoise, seed=0, max_size=64)
     assert [line.split()[0] for line in lines] == [
         "dataset64_sp1.0_s0", "dataset64_sp1.0_s1", "dataset64_sp0.7_s0",
-        "sino64_sp1.0_s3", "sino33_sp1.3_s3", "denoise64_s0", "train64_s1",
+        "sino64_sp1.0_s3", "sino33_sp1.3_s3", "denoise64_s0",
+        "denoise64_no_transformer_s0", "denoise64_no_dual_path_s0", "train64_s1",
         "train32x16_s1"]
     # a fresh process importing the package from a checkout prints the same lines
     run = subprocess.run([sys.executable, str(_root / "tools" / "sim_digest.py"), str(_root),

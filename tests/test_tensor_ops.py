@@ -13,7 +13,6 @@ from ctdenoise.ctsim import DoseConfig, make_dataset
 from ctdenoise.model import ConvAct, ModelConfig, build_model
 from ctdenoise.training import TrainConfig, train
 from ctdenoise.tensor import (
-    NonFiniteError,
     ShapeError,
     Tensor,
     add,
@@ -297,17 +296,6 @@ class TestNonlinearities:
         assert np.allclose(out, ref)
         assert np.isfinite(out).all()
 
-    def test_softmax_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            softmax(Tensor(np.array([1.0, np.nan])))
-        with pytest.raises(ValueError):
-            softmax(Tensor(np.array([1.0, np.inf])))
-
-    def test_softmax_non_finite_error_is_typed(self):
-        for bad in (np.nan, np.inf, -np.inf):
-            with pytest.raises(NonFiniteError, match="^softmax: input contains NaN or infinite values$"):
-                softmax(Tensor(np.array([1.0, bad])))
-
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("shift", [0.0, 1000.0, -1000.0])
     @pytest.mark.parametrize("axis", [-1, 1])
@@ -332,20 +320,6 @@ class TestAttention:
         rng = np.random.default_rng(12)
         return [Tensor(rng.normal(size=(1, 1024, 64)).astype(np.float32), requires_grad=True)
                 for _ in range(3)]
-
-    @pytest.mark.filterwarnings("ignore:overflow")
-    @pytest.mark.parametrize("recording", [True, False], ids=["graph", "no_grad"])
-    def test_overflowing_scores_raise_softmax_error(self, recording):
-        # 1e20 * 1e20 is past the float32 maximum, so the scores hold inf
-        q = Tensor(np.full((1, 3, 4), 1e20, dtype=np.float32), requires_grad=True)
-        k = Tensor(np.full((1, 5, 4), 1e20, dtype=np.float32), requires_grad=True)
-        v = Tensor(np.ones((1, 5, 4), dtype=np.float32), requires_grad=True)
-        with pytest.raises(NonFiniteError, match="^softmax: input contains NaN or infinite values$"):
-            if recording:
-                attention(q, k, v, 2)
-            else:
-                with no_grad():
-                    attention(q, k, v, 2)
 
     def test_shape_validation(self):
         x = Tensor(np.zeros((1, 4, 6)))

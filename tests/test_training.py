@@ -15,10 +15,10 @@ import ctdenoise as cd
 from ctdenoise import training
 from ctdenoise.ctsim import HU, MU_PER_MM, CtImage, DoseConfig, TrainingPair, make_dataset
 from ctdenoise.freq import decompose
-from ctdenoise.model import ModelConfig, build_model
+from ctdenoise.model import VARIANTS, ModelConfig, build_model
 from ctdenoise.optim import AdamState, adam_step
 from ctdenoise.tctio import tensor_to_bytes
-from ctdenoise.tensor import ShapeError, Tensor, add
+from ctdenoise.tensor import NonFiniteError, ShapeError, Tensor, add
 from conftest import MALFORMED_HEADERS, write_header_only_checkpoint
 from ctdenoise.training import (
     CHECKPOINT_MAGIC,
@@ -110,6 +110,11 @@ class TestLrSchedule:
         ("lr_schedule", ((False, 1e-3),)),
         ("lr_schedule", ((0, True),)),
         ("lr_schedule", ((0, "1e-3"),)),
+        # a misshapen schedule, which unpacking would refuse without naming it
+        ("lr_schedule", ((0, 1e-3, 5),)),
+        ("lr_schedule", ((0,),)),
+        ("lr_schedule", (0, 1e-3)),
+        ("lr_schedule", None),
     ])
     def test_field_types_checked(self, field, value):
         with pytest.raises(TypeError, match=f"^{field} must be "):
@@ -582,6 +587,23 @@ class TestTrainLoop:
         cfg = TrainConfig(epochs=1, batch_size=2, seed=0)
         with pytest.raises(TrainingDiverged, match="non-finite loss at epoch 0"):
             train(model, tiny_pairs(2), [], cfg, tmp_path)
+
+    @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_blown_up_forward_pass_is_caught_at_the_edges(self, tmp_path, variant):
+        # no op checks for NaN or inf: an overflow inside the forward pass
+        # reaches the output, which denoise_image and train refuse
+        model = build_model(ModelConfig(**TINY, variant=variant))
+        if variant == "no_transformer":
+            model.fuse.conv.weight.data[:] = 3e38
+        else:
+            model.encoders[0].attn.wq.bias.data[:] = 1e20
+            model.encoders[0].attn.wk.bias.data[:] = 1e20
+        pairs = tiny_pairs(2)
+        with pytest.raises(NonFiniteError, match="^denoise_image: the model's output holds NaN"):
+            denoise_image(model, pairs[0].ld)
+        with pytest.raises(TrainingDiverged, match="non-finite loss at epoch 0"):
+            train(model, pairs, [], TrainConfig(epochs=1, batch_size=2), tmp_path)
 
     @pytest.mark.parametrize("failing_call", [1, 2], ids=["train_step", "validation"])
     def test_unrelated_value_error_is_not_divergence(self, tmp_path, failing_call):

@@ -27,6 +27,10 @@ The cases:
   ``make_phantom([seed, n], n)`` plus N(0, 20 HU) noise,
   ``default_rng(seed + n).normal(0, 20, (n, n)).astype(float32)``, with
   seed 0 at 64x64, 96x96 and 512x512; hashed over the output's bytes.
+- ``denoise64_{variant}_s{seed}``: the same 64x64 case through
+  ``build_model(ModelConfig(width=0.25, variant=variant, seed=seed))`` for
+  the ``no_transformer`` and ``no_dual_path`` variants, with seed 0, so a
+  bitwise claim about model code covers every variant.
 - ``train64_s{seed}``: ``checkpoint.tck`` after ``train`` of
   ``build_model(ModelConfig(width=0.25, seed=seed))`` on the first 8 pairs
   of ``make_dataset(9, 64, DoseConfig(i0=2e4, dose_fraction=0.25), seed)``,
@@ -52,6 +56,7 @@ import numpy as np
 DATASETS = ((64, 1.0, 0), (64, 1.0, 1), (128, 1.0, 0), (128, 1.0, 1), (64, 0.7, 0))
 GRIDS = ((64, 1.0), (65, 0.7), (33, 1.3))
 DENOISED = (64, 96, 512)
+ABLATIONS = ("no_transformer", "no_dual_path")
 
 
 def _pairs_digest(pairs):
@@ -60,6 +65,14 @@ def _pairs_digest(pairs):
         h.update(pair.ld.grid.tobytes())
         h.update(pair.nd.grid.tobytes())
     return h.hexdigest()
+
+
+def _denoise_digest(cd, model, n, seed):
+    ctsim = cd.ctsim
+    phantom = ctsim.make_phantom([seed, n], n)
+    noise = np.random.default_rng(seed + n).normal(0, 20, (n, n)).astype(np.float32)
+    out = cd.denoise_image(model, ctsim.CtImage(phantom.grid + noise, ctsim.HU))
+    return hashlib.sha256(out.grid.tobytes()).hexdigest()
 
 
 def _train_digest(cd, n_train, size, epochs, seed):
@@ -99,11 +112,11 @@ def digests(cd, seed=0, max_size=None):
                          f"{hashlib.sha256(sino.values.tobytes()).hexdigest()}")
     model = cd.build_model(cd.ModelConfig(width=0.25, seed=seed))
     for n in filter(fits, DENOISED):
-        phantom = ctsim.make_phantom([seed, n], n)
-        noise = np.random.default_rng(seed + n).normal(0, 20, (n, n)).astype(np.float32)
-        out = cd.denoise_image(model, ctsim.CtImage(phantom.grid + noise, ctsim.HU))
-        lines.append(f"denoise{n}_s{seed} {hashlib.sha256(out.grid.tobytes()).hexdigest()}")
+        lines.append(f"denoise{n}_s{seed} {_denoise_digest(cd, model, n, seed)}")
     if fits(64):
+        for variant in ABLATIONS:
+            ablated = cd.build_model(cd.ModelConfig(width=0.25, variant=variant, seed=seed))
+            lines.append(f"denoise64_{variant}_s{seed} {_denoise_digest(cd, ablated, 64, seed)}")
         lines.append(f"train64_s{seed + 1} {_train_digest(cd, 8, 64, 20, seed + 1)}")
     if fits(32):
         lines.append(f"train32x16_s{seed + 1} {_train_digest(cd, 16, 32, 5, seed + 1)}")
