@@ -3,7 +3,8 @@
 The engine is deliberately small. Every operation computes its result
 eagerly and records a closure that maps the output gradient back to the
 input gradients; ``Tensor.backward()`` then walks the recorded graph once
-in reverse topological order; inside ``no_grad()`` nothing is recorded.
+in reverse topological order, freeing it as it goes; inside ``no_grad()``
+nothing is recorded.
 ``Tensor`` defines no arithmetic operators: every op is a function in this
 module taking ``Tensor`` operands. ``add``, ``sub`` and ``mul`` broadcast
 as numpy does (``linear``'s bias add needs it), and only float32/float64
@@ -46,8 +47,8 @@ class Tensor:
     Tensors are immutable once created; only the optimizer writes into
     parameter data in place. ``backward`` populates ``grad`` on leaves only
     (tensors no op produced, such as parameters and inputs), where it
-    accumulates across calls until ``zero_grad``; op results keep
-    ``grad`` None.
+    accumulates across graphs until ``zero_grad``; op results keep
+    ``grad`` None. A recorded graph is single-use: ``backward`` frees it.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
@@ -90,8 +91,10 @@ class Tensor:
     def backward(self):
         """Reverse-mode accumulation from a scalar root.
 
-        Each call propagates a fresh unit seed, so calling backward twice
-        without zeroing doubles the accumulated gradients.
+        The walk frees each op node once it has passed it: the node drops
+        its parents and its closure's saved arrays, and a later walk
+        through it raises RuntimeError. Leaves keep their gradients, so a
+        fresh forward and backward without zeroing doubles them.
         """
         if self.data.size != 1:
             raise ShapeError(f"backward() needs a scalar loss, got shape {self.shape}")
@@ -114,28 +117,32 @@ class Tensor:
                 if id(p) not in visited:
                     stack.append((p, False))
 
-        # per-call gradient table keeps repeated backward passes independent
+        # popping drops the walk's reference to each node once it is passed
         flowing = {id(self): np.ones_like(self.data)}
-        for node in reversed(topo):
+        while topo:
+            node = topo.pop()
             g = flowing.pop(id(node), None)
-            if g is None:
-                continue
             if node._backward is None:
                 # only leaves keep a gradient; an intermediate's lives in
                 # `flowing` until its closure has consumed it
+                if g is None:
+                    continue
                 if node.grad is None:
                     node.grad = g.copy()
                 else:
                     node.grad += g
                 continue
-            for parent, pg in zip(node._parents, node._backward(g)):
-                if pg is None or not parent.requires_grad:
-                    continue
-                key = id(parent)
-                if key in flowing:
-                    flowing[key] = flowing[key] + pg
-                else:
-                    flowing[key] = pg
+            if g is not None:
+                for parent, pg in zip(node._parents, node._backward(g)):
+                    if pg is None or not parent.requires_grad:
+                        continue
+                    key = id(parent)
+                    if key in flowing:
+                        flowing[key] = flowing[key] + pg
+                    else:
+                        flowing[key] = pg
+            # release the closure's saved arrays; a later walk through here raises
+            node._parents, node._backward = (), _freed
 
     def __repr__(self):
         flag = ", requires_grad=True" if self.requires_grad else ""
@@ -163,6 +170,11 @@ def no_grad():
         yield
     finally:
         _grad_enabled = prev
+
+
+def _freed(g):
+    raise RuntimeError("backward() through a graph that an earlier backward() freed; "
+                       "run the forward pass again")
 
 
 def _records(parents):

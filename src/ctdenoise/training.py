@@ -336,8 +336,8 @@ def train(model, pairs, val_pairs, cfg, out_dir):
                 raise _diverged("loss at", epoch, ckpt_path)
             model.zero_grad()
             loss.backward()
-            # free this step's graph now, not when the next forward pass
-            # rebinds these names, so two graphs are never alive at once
+            # backward() freed the graph; drop the output image and the loss
+            # too, not when the next forward pass rebinds these names
             del pred, loss
             grads = [p.grad for p in params]
             if cfg.clip_norm > 0:

@@ -5,6 +5,8 @@ ReLU inputs are sampled away from the kink so the subgradient choice at 0
 cannot contaminate the comparison.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -224,12 +226,15 @@ class TestGraphSemantics:
         assert np.allclose(x.grad, 4.0 * x.data)
 
     def test_repeated_backward_accumulates(self):
+        # a graph is single-use; gradients accumulate across fresh graphs
         x = Tensor(np.ones(3), requires_grad=True)
         loss = tsum(mul(x, x))
         loss.backward()
         first = x.grad.copy()
-        loss.backward()
-        assert np.allclose(x.grad, 2.0 * first)
+        with pytest.raises(RuntimeError, match="freed"):
+            loss.backward()
+        tsum(mul(x, x)).backward()
+        assert np.array_equal(x.grad, 2.0 * first)
         x.zero_grad()
         assert x.grad is None
 
@@ -241,7 +246,6 @@ class TestGraphSemantics:
         )
         loss = mse_loss(model(x_low, x_high), target)
         params = model.parameters()
-        loss.backward()
         nodes, stack, seen = [], [loss], set()
         while stack:
             node = stack.pop()
@@ -251,12 +255,42 @@ class TestGraphSemantics:
                 stack.extend(node._parents)
         inner = [n for n in nodes if n._backward is not None]
         assert len(inner) > 100
-        assert all(n.grad is None for n in inner)
+        loss.backward()
+        assert all(n.grad is None and n._parents == () for n in inner)
         assert all(p.grad is not None for p in params)
         first = [p.grad.copy() for p in params]
-        loss.backward()
+        mse_loss(model(x_low, x_high), target).backward()
         for p, f in zip(params, first):
             assert np.array_equal(p.grad, 2 * f)
+
+    def test_freed_intermediate_is_not_a_leaf(self):
+        x = Tensor(np.array([1.0, -2.0, 3.0]), requires_grad=True)
+        h = mul(x, x)
+        tsum(h).backward()
+        first = x.grad.copy()
+        with pytest.raises(RuntimeError, match="freed"):
+            tsum(mul(h, Tensor(np.full(3, 2.0)))).backward()
+        assert h.grad is None
+        assert np.array_equal(x.grad, first)
+
+    def test_backward_frees_the_graph_as_it_walks(self):
+        # the peak above the forward's graph is a few live gradients, not
+        # leaf gradients stacked on the whole graph
+        model = build_model(ModelConfig(width=0.25, seed=4))
+        rng = np.random.default_rng(24)
+        x_low, x_high, target = (
+            Tensor(rng.normal(size=(8, 1, 64, 64)).astype(np.float32)) for _ in range(3)
+        )
+        tracemalloc.start()
+        try:
+            loss = mse_loss(model(x_low, x_high), target)
+            graph = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            loss.backward()
+            above = tracemalloc.get_traced_memory()[1] - graph
+        finally:
+            tracemalloc.stop()
+        assert above <= 2 * 2**20, above
 
     def test_grad_stops_at_detach(self):
         x = Tensor(np.ones(3), requires_grad=True)
