@@ -70,7 +70,7 @@ SCHEMA = {
 }
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
     values: dict
 

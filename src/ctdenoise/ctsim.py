@@ -71,7 +71,7 @@ class UnitError(ValueError):
     """An image carried the wrong unit tag for the requested operation."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class CtImage:
     """2-d scalar field tagged with its physical unit."""
 
@@ -80,14 +80,14 @@ class CtImage:
     pixel_spacing_mm: float = 1.0
 
     def __post_init__(self):
-        self.grid = np.asarray(self.grid)
+        object.__setattr__(self, "grid", np.asarray(self.grid))
         if self.grid.ndim != 2:
             raise ValueError(f"CtImage grid must be 2-d, got shape {self.grid.shape}")
         if self.unit not in (HU, MU_PER_MM):
             raise UnitError(f"unknown unit tag {self.unit!r}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScanGeometry:
     """Parallel-beam layout: uniform view angles over [0, pi)."""
 
@@ -131,7 +131,7 @@ def default_geometry(image_size, pixel_spacing_mm=1.0, n_views=ScanGeometry.n_vi
     )
 
 
-@dataclass
+@dataclass(frozen=True)
 class Sinogram:
     """views x detectors line integrals (mu times length, dimensionless)."""
 
@@ -139,7 +139,7 @@ class Sinogram:
     geometry: ScanGeometry
 
 
-@dataclass
+@dataclass(frozen=True)
 class DoseConfig:
     """Incident photons per ray and the dose fraction applied to them."""
 
@@ -458,15 +458,14 @@ def forward_project(img, geom):
 def insert_poisson_noise(sino, dose, seed):
     """Photon-count noise: N ~ Poisson(I0*fraction*exp(-p)), drawn from
     ``np.random.default_rng(seed)``, then back to line integrals with zero
-    counts clamped to one photon."""
+    counts clamped to one photon. The frozen ``DoseConfig`` checked when it
+    was built that its flux is at least one photon."""
     p = np.asarray(sino.values, dtype=np.float64)
     if not np.isfinite(p).all():
         raise ValueError("sinogram contains non-finite values")
     if p.min() < -1e-9:
         raise ValueError(f"sinogram has negative line integrals (min {p.min():g})")
     flux = dose.i0 * dose.dose_fraction
-    if flux < 1.0:
-        raise ValueError(f"i0 * dose_fraction must be >= 1, got {flux}")
     rng = np.random.default_rng(seed)
     counts = rng.poisson(flux * np.exp(-p)).astype(np.float64)
     counts = np.maximum(counts, 1.0)
@@ -594,7 +593,7 @@ def fbp(*sinograms):
 # -- paired-dose dataset -------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainingPair:
     """Aligned low-dose / normal-dose HU patch pair."""
 
@@ -677,8 +676,8 @@ def load_manifest(path):
         raise ValueError(f"{path}: manifest is not UTF-8 text: {exc}") from None
     entries = {}
     for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
             continue
         key, _, value = line.partition("=")
         entries[key.strip()] = value.strip()

@@ -90,6 +90,11 @@ def ssim(pred, ref, data_range=None):
     return total / count
 
 
+# the smallest side whose fourth VIF scale still holds its 3x3 window: each
+# scale > 1 first filters with its own window and keeps every second pixel
+_VIF_MIN_SIDE = 41
+
+
 def vif(pred, ref):
     """Pixel-domain visual information fidelity over four dyadic scales.
 
@@ -98,6 +103,9 @@ def vif(pred, ref):
     more apparent information than the reference.
     """
     dist, ref = _check_pair(pred, ref, "vif")
+    if min(ref.shape) < _VIF_MIN_SIDE:
+        raise ShapeError(f"vif needs images of at least {_VIF_MIN_SIDE}x{_VIF_MIN_SIDE} "
+                         f"pixels for its four scales, got {ref.shape}")
     eps, sigma_noise_sq = 1e-10, 2.0
     num = 0.0
     den = 0.0
@@ -135,7 +143,7 @@ def vif(pred, ref):
     return float(num / den)
 
 
-@dataclass
+@dataclass(frozen=True)
 class MetricReport:
     """Per-dataset mean and population standard deviation of each metric."""
 

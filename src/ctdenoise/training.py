@@ -43,7 +43,7 @@ class CheckpointError(ValueError):
     config describes."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     epochs: int = 300
     batch_size: int = 8
@@ -79,7 +79,7 @@ class TrainConfig:
         if not all(math.isfinite(lr) and lr >= 0 for _, lr in sched):
             raise ValueError(f"lr_schedule learning rates must be finite and non-negative, "
                              f"got {[lr for _, lr in sched]}")
-        self.lr_schedule = sched
+        object.__setattr__(self, "lr_schedule", sched)
 
 
 def lr_at(schedule, epoch):
@@ -236,7 +236,7 @@ def load_checkpoint(path):
 # -- the loop --------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainResult:
     epochs_run: int
     final_train_mse: float

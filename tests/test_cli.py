@@ -540,6 +540,17 @@ class TestEval:
         assert out.startswith("1 pairs (reference: normal dose; no train split: ")
         assert out.count("rmse") == 2
 
+    def test_images_too_small_for_vif(self, workspace, tmp_path, capsys):
+        cfg = tmp_path / "small.cfg"
+        cfg.write_text("data.n_pairs = 1\ndata.size = 32\ndata.n_views = 20\n")
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "d")]) == 0
+        capsys.readouterr()
+        code = main(["eval", "--checkpoint", str(workspace / "model" / "checkpoint.tck"),
+                     "--data", str(tmp_path / "d")])
+        assert code == 1
+        assert ("vif needs images of at least 41x41 pixels for its four scales, "
+                "got (32, 32)") in capsys.readouterr().err
+
 
 class TestAblate:
     def test_all_variants_and_ffn_sweep(self, workspace, tmp_path, capsys):

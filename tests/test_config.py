@@ -176,6 +176,32 @@ class TestTypedViews:
         assert geom.n_detectors % 2 == 1
 
 
+class TestFrozenConfigs:
+    """A config is checked when it is built and cannot change afterwards; a
+    variant made with ``replace`` is checked again."""
+
+    @pytest.mark.parametrize("record, name, value", [
+        (DoseConfig(), "dose_fraction", 5.0),
+        (TrainConfig(), "clip_norm", float("nan")),
+        (ScanGeometry(), "n_views", 0),
+        (load_run_config(), "values", {}),
+    ], ids=["dose", "train", "geometry", "run"])
+    def test_assignment_refused(self, record, name, value):
+        before = getattr(record, name)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(record, name, value)
+        assert getattr(record, name) is before
+
+    @pytest.mark.parametrize("record, change, message", [
+        (DoseConfig(), {"dose_fraction": 5.0}, r"dose_fraction must lie in \(0,1\], got 5.0"),
+        (TrainConfig(), {"clip_norm": float("nan")}, "clip_norm must be finite and >= 0, got nan"),
+        (ScanGeometry(), {"n_views": 0}, "n_views must be >= 1, got 0"),
+    ], ids=["dose", "train", "geometry"])
+    def test_replace_checks_again(self, record, change, message):
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(record, **change)
+
+
 def test_readme_config_table_matches_schema():
     # each row of the README table is "| `group.` | `key` (default), ... |"; the
     # first word in parentheses is the default, as a config file would spell it

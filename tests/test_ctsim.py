@@ -14,7 +14,7 @@ import warnings
 
 import numpy as np
 import pytest
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 from ctdenoise import ctsim, tctio
 from ctdenoise.ctsim import (
@@ -583,13 +583,13 @@ class TestPoissonNoise:
             insert_poisson_noise(nan, DoseConfig(), 0)
 
     def test_flux_checked_at_use(self):
-        # DoseConfig checks its flux when built; a field lowered afterwards
-        # is caught when the noise is drawn
-        geom = default_geometry(32)
+        # DoseConfig checks its flux when built and is frozen, so the flux
+        # insert_poisson_noise reads is one that was checked
         dose = DoseConfig(i0=1e5, dose_fraction=0.25)
-        dose.i0 = 2.0
-        with pytest.raises(ValueError, match="i0 \\* dose_fraction must be >= 1, got 0.5"):
-            insert_poisson_noise(Sinogram(np.zeros((360, 47)), geom), dose, 0)
+        with pytest.raises(FrozenInstanceError):
+            dose.i0 = 2.0
+        with pytest.raises(ValueError, match="i0 \\* dose_fraction must be >= 1 photon, got 0.5"):
+            replace(dose, i0=2.0)
 
     def test_dose_config_validation(self):
         with pytest.raises(ValueError, match="dose_fraction"):
@@ -852,6 +852,14 @@ class TestDataset:
             "geom.pixel_spacing_mm = 0.5\n")
         assert ctsim.load_manifest(tmp_path / "manifest") == {
             "data.seed": "4", "geom.pixel_spacing_mm": "0.5"}
+
+    def test_manifest_drops_inline_comments(self, tmp_path):
+        # as parse_config_text does: a value ends at the first '#'
+        pairs = make_dataset(1, 32, DoseConfig(), seed=0, geom=default_geometry(32, n_views=20))
+        save_dataset(pairs, tmp_path / "ds", {"geom.pixel_spacing_mm": "0.7  # mm"})
+        loaded, meta = load_dataset(tmp_path / "ds")
+        assert meta["geom.pixel_spacing_mm"] == "0.7"
+        assert loaded[0].ld.pixel_spacing_mm == loaded[0].nd.pixel_spacing_mm == 0.7
 
     @pytest.mark.parametrize("stray", ["notes", ".DS_Store"])
     def test_stray_pair_entry_named(self, tmp_path, stray):

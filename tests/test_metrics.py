@@ -2,6 +2,7 @@
 reimplementation so the separable filtering inside the package is never
 trusted to verify itself."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -204,6 +205,18 @@ class TestVif:
         flat = np.zeros((64, 64))
         with pytest.raises(ValueError, match="information"):
             vif(flat, flat)
+
+    @pytest.mark.parametrize("shape", [(40, 40), (41, 40), (40, 64)])
+    def test_too_small_named(self, shape):
+        # the fourth scale's 3x3 window needs 41 pixels a side at the first
+        x = textured(18, 64)[:shape[0], :shape[1]]
+        with pytest.raises(ShapeError, match=re.escape(
+                f"vif needs images of at least 41x41 pixels for its four scales, got {shape}")):
+            vif(x, x)
+
+    def test_smallest_size_scores(self):
+        x = textured(19, 41)
+        assert vif(x, x) == pytest.approx(1.0, abs=1e-6)
 
 
 class TestBands:

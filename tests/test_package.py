@@ -1,6 +1,10 @@
 """The package root: the names of the end-to-end pipeline and nothing else."""
 
 import ast
+import dataclasses
+import importlib
+import inspect
+import pkgutil
 import types
 from pathlib import Path
 
@@ -40,3 +44,15 @@ def test_no_module_imports_another_modules_private_names():
             found += [f"{path.name}: from {source} import {alias.name}"
                       for alias in node.names if alias.name.startswith("_")]
     assert not found, found
+
+
+def test_every_record_but_the_optimizer_state_is_frozen():
+    # a record is checked once, when it is built; only Adam's running state changes after
+    mutable = set()
+    for info in pkgutil.iter_modules(cd.__path__):
+        module = importlib.import_module(f"ctdenoise.{info.name}")
+        for name, cls in inspect.getmembers(module, inspect.isclass):
+            if (dataclasses.is_dataclass(cls) and cls.__module__ == module.__name__
+                    and not cls.__dataclass_params__.frozen):
+                mutable.add(f"{module.__name__}.{name}")
+    assert mutable == {"ctdenoise.optim.AdamState"}, mutable
