@@ -19,7 +19,7 @@ import numpy as np
 from .config import SCHEMA, ConfigError, RunConfig, load_run_config
 from .ctsim import HU, MAX_ABS_HU, CtImage, load_dataset, make_dataset, save_dataset
 from .freq import decompose
-from .metrics import evaluate_pairs
+from .metrics import check_vif_size, evaluate_pairs
 from .model import VARIANTS, build_model, count_parameters
 from .tctio import read_tensor, write_tensor
 from .tensor import ShapeError
@@ -178,6 +178,9 @@ def cmd_ablate(args):
     cfg = _resolve_config(args)
     pairs, _ = load_dataset(args.data)
     train_pairs, val_pairs = _split_pairs(pairs, cfg["train.val_pairs"])
+    # refuse before the first variant trains, not when it is scored
+    for p in val_pairs:
+        check_vif_size(p.nd.grid.shape)
 
     runs = [(variant, {"model.variant": variant}) for variant in VARIANTS]
     runs += [

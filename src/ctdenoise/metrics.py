@@ -95,6 +95,14 @@ def ssim(pred, ref, data_range=None):
 _VIF_MIN_SIDE = 41
 
 
+def check_vif_size(shape):
+    """Raise ShapeError unless an image of ``shape`` is large enough for
+    ``vif``'s four scales."""
+    if min(shape) < _VIF_MIN_SIDE:
+        raise ShapeError(f"vif needs images of at least {_VIF_MIN_SIDE}x{_VIF_MIN_SIDE} "
+                         f"pixels for its four scales, got {shape}")
+
+
 def vif(pred, ref):
     """Pixel-domain visual information fidelity over four dyadic scales.
 
@@ -103,9 +111,7 @@ def vif(pred, ref):
     more apparent information than the reference.
     """
     dist, ref = _check_pair(pred, ref, "vif")
-    if min(ref.shape) < _VIF_MIN_SIDE:
-        raise ShapeError(f"vif needs images of at least {_VIF_MIN_SIDE}x{_VIF_MIN_SIDE} "
-                         f"pixels for its four scales, got {ref.shape}")
+    check_vif_size(ref.shape)
     eps, sigma_noise_sq = 1e-10, 2.0
     num = 0.0
     den = 0.0

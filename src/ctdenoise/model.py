@@ -29,7 +29,6 @@ from .tensor import (
     attention,
     concat,
     conv2d,
-    leaky_relu,
     linear,
     pixel_shuffle,
     pixel_unshuffle,
@@ -149,8 +148,9 @@ class Linear(Module):
         self.weight = xavier_init((cin, cout), rng)
         self.bias = Tensor(np.zeros(cout, dtype=np.float32), requires_grad=True)
 
-    def __call__(self, x):
-        return linear(x, self.weight, self.bias)
+    def __call__(self, x, slope=None):
+        """The affine map, then a leaky ReLU with ``slope`` unless it is None."""
+        return linear(x, self.weight, self.bias, slope)
 
 
 class ResBlock(Module):
@@ -197,7 +197,7 @@ class FeedForward(Module):
         self.slope = slope
 
     def __call__(self, x):
-        return self.fc2(leaky_relu(self.fc1(x), self.slope))
+        return self.fc2(self.fc1(x, self.slope))
 
 
 class EncoderLayer(Module):

@@ -7,7 +7,7 @@ in reverse topological order, freeing it as it goes; inside ``no_grad()``
 nothing is recorded.
 ``Tensor`` defines no arithmetic operators: every op is a function in this
 module taking ``Tensor`` operands. ``add``, ``sub`` and ``mul`` broadcast
-as numpy does (``linear``'s bias add needs it), and only float32/float64
+as numpy does (the positional embeddings' add needs it), and only float32/float64
 data is allowed: float32 is the compute default, float64 exists for
 finite-difference gradient checking.
 """
@@ -274,9 +274,39 @@ def matmul(a, b):
     return _result(arr, (a, b), backward)
 
 
-def linear(x, weight, bias):
-    """Token-wise affine map: x[..., c_in] @ weight[c_in, c_out] + bias."""
-    return add(matmul(x, weight), bias)
+def linear(x, weight, bias, slope=None):
+    """Token-wise affine map x[..., c_in] @ weight[c_in, c_out] + bias, one
+    graph node.
+
+    ``x`` has rank >= 2 and ``bias`` shape (c_out,). With a ``slope`` in
+    (0, 1) the result is ``leaky_relu(add(matmul(x, weight), bias), slope)``
+    bit for bit, gradients included, but the bias and the activation are
+    applied in place and no pre-bias or pre-activation map is kept.
+    """
+    if x.ndim < 2 or weight.ndim != 2 or x.shape[-1] != weight.shape[0]:
+        raise ShapeError(f"linear: inner dimensions disagree, {x.shape} @ {weight.shape}")
+    if bias.shape != weight.shape[1:]:
+        raise ShapeError(f"linear bias must have shape ({weight.shape[1]},), got {bias.shape}")
+    arr = x.data @ weight.data
+    arr += bias.data
+    if slope is not None:
+        _check_slope(slope)
+        s = arr.dtype.type(slope)
+        _leaky_relu_(arr, s)
+
+    def backward(g):
+        if slope is not None:
+            g = _leaky_relu_grad(g, arr, s)
+        gx = gw = gb = None
+        if x.requires_grad:
+            gx = _unbroadcast(g @ weight.data.T, x.data.shape)
+        if weight.requires_grad:
+            gw = _unbroadcast(np.swapaxes(x.data, -1, -2) @ g, weight.data.shape)
+        if bias.requires_grad:
+            gb = _unbroadcast(g, bias.data.shape)
+        return gx, gw, gb
+
+    return _result(arr, (x, weight, bias), backward)
 
 
 def reshape(a, shape):
@@ -576,6 +606,7 @@ def conv2d(x, weight, bias, stride=1, slope=None):
         arr[:, :, r0:r1] = out.reshape(B, n, Wo, Cout).transpose(0, 3, 1, 2)
 
     def backward(g):
+        nonlocal cols
         if slope is not None:
             g = _leaky_relu_grad(g, arr, s)
         gmat = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(B, Ho * Wo, Cout)
@@ -584,6 +615,9 @@ def conv2d(x, weight, bias, stride=1, slope=None):
             # a recorded graph made one band, so ``cols`` holds every row
             gw = np.tensordot(gmat, cols.reshape(B, Ho * Wo, K), axes=([0, 1], [0, 1]))
             gw = gw.reshape(weight.data.shape)
+        # a graph is walked once, so the columns go before their gradient
+        # of the same size is made
+        cols = None
         if bias.requires_grad:
             gb = g.sum(axis=(0, 2, 3))
         if x.requires_grad:

@@ -131,8 +131,8 @@ def denoise_image(model, img):
     applies a conv layer's leaky ReLU to each band in place, attention
     holds the scores of one block of query rows at a time, and every
     intermediate is freed once its op is done. A 512x512 image peaks at
-    8.5 MiB of traced allocations through the width-0.25 model (169 MiB
-    with a recorded graph) and at 27.8 MiB through the width-1.0 model."""
+    8.4 MiB of traced allocations through the width-0.25 model (150 MiB
+    with a recorded graph) and at 24.5 MiB through the width-1.0 model."""
     if img.unit != HU:
         raise ValueError(f"denoise_image expects a HU image, got {img.unit!r}")
     padded, (H, W) = _pad_to_multiple(_hu_to_rel(img.grid), INPUT_MULTIPLE)

@@ -99,6 +99,26 @@ class TestLinearAlgebraGrads:
             TOL,
         )
 
+    @pytest.mark.parametrize("x_shape", [(5, 3), (2, 5, 3)])
+    def test_linear_with_slope(self, x_shape):
+        rng = np.random.default_rng(7)
+        x, w, b = rng.normal(size=x_shape), rng.normal(size=(3, 4)), rng.normal(size=(4,))
+        gradcheck(lambda x, w, b: linear(x, w, b, 0.2), [x, w, b], TOL)
+
+    @pytest.mark.parametrize("frozen", [0, 1, 2])
+    def test_linear_with_slope_and_a_frozen_operand(self, frozen):
+        # the operand at ``frozen`` does not require grad; the other two are checked
+        rng = np.random.default_rng(8)
+        arrays = [rng.normal(size=(2, 5, 3)), rng.normal(size=(3, 4)), rng.normal(size=(4,))]
+        const = Tensor(arrays.pop(frozen))
+
+        def op(*tensors):
+            operands = list(tensors)
+            operands.insert(frozen, const)
+            return linear(*operands, slope=0.2)
+
+        gradcheck(op, arrays, TOL)
+
 
 class TestShapingGrads:
     def test_reshape(self):

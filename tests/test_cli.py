@@ -566,6 +566,18 @@ class TestAblate:
             assert label in out
             assert (tmp_path / "runs" / label / "checkpoint.tck").exists()
 
+    def test_images_too_small_for_vif_refused_before_training(self, tmp_path, capsys):
+        cfg = tmp_path / "small.cfg"
+        cfg.write_text(SMOKE_CFG.replace("data.n_pairs = 3", "data.n_pairs = 2")
+                       .replace("data.size = 64", "data.size = 32"))
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "d")]) == 0
+        capsys.readouterr()
+        code = main(["ablate", "--config", str(cfg),
+                     "--data", str(tmp_path / "d"), "--out", str(tmp_path / "runs")])
+        assert code == 1
+        assert ("vif needs images of at least 41x41 pixels for its four scales, "
+                "got (32, 32)") in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
 
     @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
     def test_diverged_runs_keep_their_params(self, workspace, tmp_path, capsys):

@@ -7,11 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ctdenoise import model as model_module
 from ctdenoise import tensor
 from ctdenoise.ctsim import DoseConfig, make_dataset
 from ctdenoise.model import ConvAct, ModelConfig, build_model
-from ctdenoise.training import TrainConfig, train
+from ctdenoise.training import TrainConfig, mse_loss, train
 from ctdenoise.tensor import (
     ShapeError,
     Tensor,
@@ -256,23 +255,27 @@ class TestNonlinearities:
 
     def test_training_bitwise_equals_where_form(self, tmp_path, monkeypatch):
         # a tiny run at two batches per epoch writes the same checkpoint
-        # bytes whether leaky_relu's gradient is built by arithmetic (the
-        # library's) or by a masked select (this reference)
-        calls = []
+        # bytes whether the model's leaky ReLUs (inside conv2d and linear)
+        # and their gradients are built by arithmetic (the library's) or by
+        # masked selects (this reference)
+        calls = {"forward": 0, "grad": 0}
 
-        def where_form(x, slope=0.2):
-            calls.append(slope)
-            one, s = x.data.dtype.type(1), x.data.dtype.type(slope)
-            arr = np.where(x.data > 0, x.data, x.data * s)
-            return tensor._result(arr, (x,), lambda g: (g * np.where(x.data > 0, one, s),))
+        def where_form(a, s):
+            calls["forward"] += 1
+            a[...] = np.where(a > 0, a, a * s)
+
+        def where_grad(g, v, s):
+            calls["grad"] += 1
+            return g * np.where(v > 0, v.dtype.type(1), s)
 
         pairs = make_dataset(4, 32, DoseConfig(i0=5e4, dose_fraction=0.25), seed=5)
         cfg = TrainConfig(epochs=3, batch_size=2, lr_schedule=((0, 1e-3),), seed=2)
         config = ModelConfig(width=0.0625, n_heads=2, ffn_mult=2, seed=3)
         train(build_model(config), pairs, [], cfg, tmp_path / "library")
-        monkeypatch.setattr(model_module, "leaky_relu", where_form)
+        monkeypatch.setattr(tensor, "_leaky_relu_", where_form)
+        monkeypatch.setattr(tensor, "_leaky_relu_grad", where_grad)
         train(build_model(config), pairs, [], cfg, tmp_path / "where")
-        assert calls
+        assert calls["forward"] and calls["grad"]
         assert ((tmp_path / "library" / "checkpoint.tck").read_bytes()
                 == (tmp_path / "where" / "checkpoint.tck").read_bytes())
 
@@ -608,6 +611,117 @@ class TestConv2dLeakyRelu:
             tracemalloc.stop()
         assert held < self.MAP_BYTES + cols_bytes + 2**20, held
         assert out._parents == (x, layer.conv.weight, layer.conv.bias)
+
+    def test_recorded_backward_frees_columns_before_their_gradient(self):
+        # a 3x3 conv at stride 1 on (2, 16, 32, 32): its columns are nine
+        # times its input; backward's other arrays (the gradient, its
+        # channels-last copy, the padded input gradient) are about one
+        # input each
+        rng = np.random.default_rng(27)
+        x = Tensor(rng.normal(size=(2, 16, 32, 32)).astype(np.float32), requires_grad=True)
+        w = Tensor(rng.normal(size=(16, 16, 3, 3)).astype(np.float32), requires_grad=True)
+        b = Tensor(np.zeros(16, np.float32), requires_grad=True)
+        cols_bytes = 2 * 32 * 32 * 16 * 9 * 4
+        tracemalloc.start()
+        try:
+            loss = tsum(conv2d(x, w, b, slope=self.SLOPE))
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            loss.backward()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - start < cols_bytes, (peak - start, cols_bytes)
+
+
+class TestFusedLinear:
+    """``linear(..., slope=s)`` against ``leaky_relu(add(matmul(...)), s)``."""
+
+    SLOPE = 0.2
+
+    @staticmethod
+    def _operands():
+        rng = np.random.default_rng(31)
+        x = rng.normal(size=(8, 16, 64)).astype(np.float32)
+        w = (rng.normal(size=(64, 512)) / 8).astype(np.float32)
+        b = rng.normal(size=512).astype(np.float32)
+        # zero weight columns leave the biases as the pre-activations of the
+        # first five output channels: +0 twice (a zero sum plus a bias of +0
+        # or -0), NaN, +inf and -inf
+        w[:, :5] = 0
+        b[:5] = [0.0, -0.0, np.nan, np.inf, -np.inf]
+        return x, w, b
+
+    @pytest.mark.filterwarnings("ignore:invalid value")
+    @pytest.mark.parametrize("slope", [None, SLOPE])
+    def test_bitwise_equals_separate_ops(self, slope):
+        x, w, b = self._operands()
+        g = np.random.default_rng(32).normal(size=(8, 16, 512)).astype(np.float32)
+
+        def run(fused):
+            tx, tw, tb = (Tensor(a, requires_grad=True) for a in (x, w, b))
+            if fused:
+                out = linear(tx, tw, tb, slope)
+            else:
+                out = add(matmul(tx, tw), tb)
+                if slope is not None:
+                    out = leaky_relu(out, slope)
+            # the upstream gradient reaching the last op is exactly g
+            tsum(mul(out, Tensor(g))).backward()
+            return out.data, tx.grad, tw.grad, tb.grad
+
+        fused, separate = run(True), run(False)
+        assert np.isnan(fused[0][..., 2]).all() and np.isposinf(fused[0][..., 3]).all()
+        for got, want in zip(fused, separate):
+            assert got.dtype == want.dtype == np.float32 and got.shape == want.shape
+            assert np.array_equal(_bits(got), _bits(want))
+
+    @pytest.mark.filterwarnings("ignore:invalid value")
+    def test_graph_free_equals_recorded(self):
+        x, w, b = (Tensor(a, requires_grad=True) for a in self._operands())
+        with no_grad():
+            free = linear(x, w, b, self.SLOPE)
+        recorded = linear(x, w, b, self.SLOPE)
+        assert not free.requires_grad and free._parents == ()
+        assert recorded._parents == (x, w, b)
+        assert np.array_equal(_bits(free.data), _bits(recorded.data))
+
+    def test_shape_errors_name_the_shapes(self):
+        x, w = Tensor(np.ones((2, 5))), Tensor(np.ones((4, 3)))
+        with pytest.raises(ShapeError, match=re.escape("(2, 5) @ (4, 3)")):
+            linear(x, w, Tensor(np.ones(3)))
+        x = Tensor(np.ones((2, 4)))
+        for bad in ((4,), (1, 3)):
+            with pytest.raises(ShapeError, match=re.escape(f"(3,), got {bad}")):
+                linear(x, w, Tensor(np.ones(bad)))
+
+    def test_slope_outside_unit_interval_refused(self):
+        x, w, b = Tensor(np.ones((2, 4))), Tensor(np.ones((4, 3))), Tensor(np.ones(3))
+        for bad in (0.0, 1.0, -0.1, 2.0, float("nan")):
+            with pytest.raises(ValueError) as fused:
+                linear(x, w, b, bad)
+            with pytest.raises(ValueError) as alone:
+                leaky_relu(x, slope=bad)
+            assert str(fused.value) == str(alone.value)
+
+    def test_training_forward_holds_one_node_per_linear(self):
+        # 3 encoders of 4 attention and 2 feed-forward maps, and 3 decoders
+        # of 8 and 2: 48 linear nodes, and no matmul or leaky_relu node
+        model = build_model(ModelConfig(width=0.25, seed=0))
+        rng = np.random.default_rng(33)
+        low, high, target = (Tensor(rng.normal(size=(8, 1, 64, 64)).astype(np.float32))
+                             for _ in range(3))
+        loss = mse_loss(model(low, high), target)
+        ops, seen, stack = [], set(), [loss]
+        while stack:
+            node = stack.pop()
+            if id(node) in seen or node._backward is None:
+                continue
+            seen.add(id(node))
+            ops.append(node._backward.__qualname__.split(".")[0])
+            stack.extend(node._parents)
+        assert ops.count("linear") == 48
+        assert "matmul" not in ops and "leaky_relu" not in ops
 
 
 class TestPixelShuffle:

@@ -1,6 +1,6 @@
 """Traced memory of one training step, phase by phase.
 
-    python3 tools/step_memory.py [SRC] [--width W] [--size N] [--batch B] [--seed S]
+    python3 tools/step_memory.py [SRC] [--width W] [--size N] [--batch B] [--seed S] [--by-op]
 
 runs the first step of ``train`` on a fresh ``build_model(ModelConfig(
 width=W, seed=S))``, on the bands of ``make_dataset(B, N, DoseConfig(i0=2e4,
@@ -20,6 +20,13 @@ live when the phase ends, ``peak`` the most live during it.
 
 A last ``step - peak`` line is the step's peak, which at the defaults is the
 ``train64`` benchmark workload's ``peak_mib``.
+
+With ``--by-op`` it then prints what the forward pass's graph holds, one
+``graph op outputs saved`` line per op, largest first, in MiB: ``outputs``
+are the arrays the op's nodes return, ``saved`` the other arrays their
+backward closures keep (a conv's im2col columns, attention's
+probabilities). Each buffer counts once, for the op that made it;
+parameters and inputs are left out.
 """
 
 from __future__ import annotations
@@ -27,11 +34,62 @@ from __future__ import annotations
 import argparse
 import sys
 import tracemalloc
+from collections import defaultdict
 from pathlib import Path
+
+import numpy as np
+
+
+def _owner(a):
+    """The array that owns ``a``'s memory."""
+    while isinstance(a.base, np.ndarray):
+        a = a.base
+    return a
+
+
+def _saved(backward):
+    """What a backward closure keeps, less the variables its op never set
+    (a slope left None)."""
+    for cell in backward.__closure__ or ():
+        try:
+            yield cell.cell_contents
+        except ValueError:
+            pass
+
+
+def graph_by_op(root):
+    """``{op: [output bytes, saved bytes]}`` of the graph under ``root``."""
+    # parents before children, so that an op's output is claimed by the op
+    # that made it before a view of it is met elsewhere
+    order, seen, stack = [], set(), [(root, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            order.append(node)
+        elif id(node) not in seen:
+            seen.add(id(node))
+            stack.append((node, True))
+            stack.extend((p, False) for p in node._parents)
+    claimed = {id(_owner(n.data)) for n in order if n._backward is None}
+    held = defaultdict(lambda: [0, 0])
+    for node in order:
+        if node._backward is None:
+            continue
+        op = node._backward.__qualname__.split(".")[0]
+        for kind, arrays in enumerate(([node.data], _saved(node._backward))):
+            for a in arrays:
+                if not isinstance(a, np.ndarray):
+                    continue
+                a = _owner(a)
+                if id(a) not in claimed:
+                    claimed.add(id(a))
+                    held[op][kind] += a.nbytes
+    return dict(held)
 
 
 def step_memory(cd, width, size, batch, seed):
-    """``(phase, held, peak)`` in bytes for each phase of one step."""
+    """``(phase, held, peak)`` in bytes for each phase of one step, and the
+    forward pass's graph by op (``graph_by_op``)."""
     model = cd.build_model(cd.ModelConfig(width=width, seed=seed))
     pairs = cd.make_dataset(batch, size, cd.DoseConfig(i0=2e4, dose_fraction=0.25), seed=seed)
     bands = cd.training._prepare(pairs, model.config.sigma)
@@ -58,6 +116,8 @@ def step_memory(cd, width, size, batch, seed):
     tracemalloc.start()
     try:
         pred, loss = run("forward", forward)
+        # between phases: the walk's own lists are gone before backward starts
+        by_op = graph_by_op(loss)
         run("backward", backward)
         del pred, loss
         grads = [p.grad for p in params]
@@ -65,7 +125,7 @@ def step_memory(cd, width, size, batch, seed):
         run("adam", lambda: cd.optim.adam_step(params, grads, state, 1e-3))
     finally:
         tracemalloc.stop()
-    return phases
+    return phases, by_op
 
 
 def main(argv=None):
@@ -76,17 +136,22 @@ def main(argv=None):
     parser.add_argument("--size", type=int, default=64)
     parser.add_argument("--batch", type=int, default=8)
     parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--by-op", action="store_true",
+                        help="also print what the forward graph holds, per op")
     args = parser.parse_args(argv)
     package = (args.src / "src").resolve()
     sys.path.insert(0, str(package))
     import ctdenoise
     if not Path(ctdenoise.__file__).resolve().is_relative_to(package):
         parser.error(f"imported ctdenoise from {ctdenoise.__file__}, not from {package}")
-    phases = step_memory(ctdenoise, args.width, args.size, args.batch, args.seed)
+    phases, by_op = step_memory(ctdenoise, args.width, args.size, args.batch, args.seed)
     mib = 2.0**20
     for name, held, peak in phases:
         print(f"{name} {held / mib:.2f} {peak / mib:.2f}")
     print(f"step - {max(peak for _, _, peak in phases) / mib:.2f}")
+    if args.by_op:
+        for op, (outputs, saved) in sorted(by_op.items(), key=lambda kv: -sum(kv[1])):
+            print(f"graph {op} {outputs / mib:.2f} {saved / mib:.2f}")
     return 0
 
 
