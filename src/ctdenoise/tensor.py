@@ -283,7 +283,10 @@ def linear(x, weight, bias, slope=None):
     bit for bit, gradients included, but the bias and the activation are
     applied in place and no pre-bias or pre-activation map is kept.
     """
-    if x.ndim < 2 or weight.ndim != 2 or x.shape[-1] != weight.shape[0]:
+    if x.ndim < 2 or weight.ndim != 2:
+        raise ShapeError(
+            f"linear needs x of rank >= 2 and a 2-d weight, got {x.shape} @ {weight.shape}")
+    if x.shape[-1] != weight.shape[0]:
         raise ShapeError(f"linear: inner dimensions disagree, {x.shape} @ {weight.shape}")
     if bias.shape != weight.shape[1:]:
         raise ShapeError(f"linear bias must have shape ({weight.shape[1]},), got {bias.shape}")

@@ -690,6 +690,10 @@ class TestFusedLinear:
         x, w = Tensor(np.ones((2, 5))), Tensor(np.ones((4, 3)))
         with pytest.raises(ShapeError, match=re.escape("(2, 5) @ (4, 3)")):
             linear(x, w, Tensor(np.ones(3)))
+        for xs, ws in (((4,), (4, 3)), ((2, 4), (4,)), ((2, 4), (1, 4, 3))):
+            message = f"rank >= 2 and a 2-d weight, got {xs} @ {ws}"
+            with pytest.raises(ShapeError, match=re.escape(message)):
+                linear(Tensor(np.ones(xs)), Tensor(np.ones(ws)), Tensor(np.ones(3)))
         x = Tensor(np.ones((2, 4)))
         for bad in ((4,), (1, 3)):
             with pytest.raises(ShapeError, match=re.escape(f"(3,), got {bad}")):

@@ -1,6 +1,6 @@
 """Traced memory of one training step, phase by phase.
 
-    python3 tools/step_memory.py [SRC] [--width W] [--size N] [--batch B] [--seed S] [--by-op]
+    python3 tools/step_memory.py [SRC] [--width W] [--size N] [--batch B] [--seed S]
 
 runs the first step of ``train`` on a fresh ``build_model(ModelConfig(
 width=W, seed=S))``, on the bands of ``make_dataset(B, N, DoseConfig(i0=2e4,
@@ -21,12 +21,13 @@ live when the phase ends, ``peak`` the most live during it.
 A last ``step - peak`` line is the step's peak, which at the defaults is the
 ``train64`` benchmark workload's ``peak_mib``.
 
-With ``--by-op`` it then prints what the forward pass's graph holds, one
-``graph op outputs saved`` line per op, largest first, in MiB: ``outputs``
-are the arrays the op's nodes return, ``saved`` the other arrays their
-backward closures keep (a conv's im2col columns, attention's
-probabilities). Each buffer counts once, for the op that made it;
-parameters and inputs are left out.
+Then it prints what the forward pass's graph holds, one ``graph op
+outputs saved`` line per op, largest first, in MiB: ``outputs`` are the
+arrays the op's nodes return, ``saved`` the other arrays their backward
+closures keep (a conv's im2col columns, attention's probabilities). Each
+buffer counts once, for the op that made it; parameters and inputs are
+left out. The graph is walked between the forward and backward phases,
+so the walk is in no phase's peak.
 """
 
 from __future__ import annotations
@@ -136,8 +137,6 @@ def main(argv=None):
     parser.add_argument("--size", type=int, default=64)
     parser.add_argument("--batch", type=int, default=8)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--by-op", action="store_true",
-                        help="also print what the forward graph holds, per op")
     args = parser.parse_args(argv)
     package = (args.src / "src").resolve()
     sys.path.insert(0, str(package))
@@ -149,9 +148,8 @@ def main(argv=None):
     for name, held, peak in phases:
         print(f"{name} {held / mib:.2f} {peak / mib:.2f}")
     print(f"step - {max(peak for _, _, peak in phases) / mib:.2f}")
-    if args.by_op:
-        for op, (outputs, saved) in sorted(by_op.items(), key=lambda kv: -sum(kv[1])):
-            print(f"graph {op} {outputs / mib:.2f} {saved / mib:.2f}")
+    for op, (outputs, saved) in sorted(by_op.items(), key=lambda kv: -sum(kv[1])):
+        print(f"graph {op} {outputs / mib:.2f} {saved / mib:.2f}")
     return 0
 
 
