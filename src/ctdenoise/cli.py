@@ -67,14 +67,8 @@ def cmd_simulate(args):
         geom=geom,
         n_ellipses=cfg["data.n_ellipses"],
     )
-    manifest = dict(cfg.values)
-    manifest.update(
-        {
-            "geom.n_detectors": geom.n_detectors,
-            "geom.detector_spacing_mm": geom.detector_spacing_mm,
-            "geom.pixel_spacing_mm": geom.pixel_spacing_mm,
-        }
-    )
+    manifest = {**cfg.values, "geom.n_detectors": geom.n_detectors,
+                "geom.detector_spacing_mm": geom.detector_spacing_mm}
     save_dataset(pairs, out, manifest)
     print(f"wrote {len(pairs)} pairs of {cfg['data.size']}x{cfg['data.size']} images to {out}")
     return 0

@@ -654,9 +654,22 @@ def make_dataset(n_pairs, size, dose, seed, geom=None, n_ellipses=6, workers=1):
 
 def save_dataset(pairs, out_dir, manifest):
     """Write pairs/<idx>/{ld,nd}.tct plus a flat-text manifest, removing
-    higher-numbered pairs an earlier, larger dataset left in ``out_dir``."""
+    higher-numbered pairs an earlier, larger dataset left in ``out_dir``.
+
+    The manifest records the pairs' one pixel spacing as
+    ``geom.pixel_spacing_mm`` unless ``manifest`` sets that key. An earlier
+    manifest is deleted before any pair is written and the new one is
+    written last, so a save cut short leaves nothing ``load_dataset`` reads.
+    """
+    if "geom.pixel_spacing_mm" not in manifest:
+        spacings = {img.pixel_spacing_mm for pair in pairs for img in (pair.ld, pair.nd)}
+        if len(spacings) != 1:
+            raise ValueError(f"save_dataset needs pairs of one pixel spacing, "
+                             f"got {sorted(spacings)}")
+        manifest = {**manifest, "geom.pixel_spacing_mm": spacings.pop()}
     out = Path(out_dir)
     (out / "pairs").mkdir(parents=True, exist_ok=True)
+    (out / "manifest").unlink(missing_ok=True)
     for stale in (out / "pairs").iterdir():
         if stale.name.isdecimal() and int(stale.name) >= len(pairs):
             shutil.rmtree(stale)
@@ -675,12 +688,15 @@ def load_manifest(path):
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: manifest is not UTF-8 text: {exc}") from None
     entries = {}
-    for raw in text.splitlines():
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        key, _, value = line.partition("=")
-        entries[key.strip()] = value.strip()
+        key, sep, value = line.partition("=")
+        key = key.strip()
+        if not sep or not key:
+            raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
+        entries[key] = value.strip()
     return entries
 
 

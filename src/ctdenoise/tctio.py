@@ -27,13 +27,13 @@ class TensorFormatError(ValueError):
 
 def frame_header(arr):
     """The bytes that precede ``arr``'s scalars in a record: magic, rank,
-    extents and dtype tag."""
-    if arr.dtype not in _DTYPE_TO_TAG:
+    extents and dtype tag. Either byte order is accepted."""
+    tag = _DTYPE_TO_TAG.get(arr.dtype.newbyteorder("="))
+    if tag is None:
         raise TypeError(f"TCT1 stores float32/float64 only, got {arr.dtype}")
     if arr.ndim > MAX_RANK:
         raise ValueError(f"TCT1 rank limit is {MAX_RANK}, got {arr.ndim}")
-    return struct.pack(f"<4sB{arr.ndim}IB", MAGIC, arr.ndim, *arr.shape,
-                       _DTYPE_TO_TAG[arr.dtype])
+    return struct.pack(f"<4sB{arr.ndim}IB", MAGIC, arr.ndim, *arr.shape, tag)
 
 
 def tensor_to_bytes(arr):

@@ -210,11 +210,16 @@ def _unbroadcast(g, shape):
 # -- elementwise and linear algebra ------------------------------------
 
 
-def add(a, b):
+def _broadcast(name, ufunc, a, b):
+    """``ufunc(a.data, b.data)``; a ShapeError names the op and both shapes."""
     try:
-        arr = a.data + b.data
+        return ufunc(a.data, b.data)
     except ValueError:
-        raise ShapeError(f"add: cannot broadcast {a.shape} with {b.shape}") from None
+        raise ShapeError(f"{name}: cannot broadcast {a.shape} with {b.shape}") from None
+
+
+def add(a, b):
+    arr = _broadcast("add", np.add, a, b)
 
     def backward(g):
         return _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)
@@ -223,10 +228,7 @@ def add(a, b):
 
 
 def sub(a, b):
-    try:
-        arr = a.data - b.data
-    except ValueError:
-        raise ShapeError(f"sub: cannot broadcast {a.shape} with {b.shape}") from None
+    arr = _broadcast("sub", np.subtract, a, b)
 
     def backward(g):
         return _unbroadcast(g, a.data.shape), _unbroadcast(-g, b.data.shape)
@@ -242,10 +244,7 @@ def neg(a):
 
 
 def mul(a, b):
-    try:
-        arr = a.data * b.data
-    except ValueError:
-        raise ShapeError(f"mul: cannot broadcast {a.shape} with {b.shape}") from None
+    arr = _broadcast("mul", np.multiply, a, b)
 
     def backward(g):
         return (
@@ -261,17 +260,17 @@ def matmul(a, b):
         raise ShapeError(f"matmul needs rank >= 2 operands, got {a.shape} @ {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul: inner dimensions disagree, {a.shape} @ {b.shape}")
-    arr = a.data @ b.data
+    return _result(a.data @ b.data, (a, b), lambda g: _matmul_grads(g, a, b))
 
-    def backward(g):
-        ga = gb = None
-        if a.requires_grad:
-            ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape)
-        if b.requires_grad:
-            gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape)
-        return ga, gb
 
-    return _result(arr, (a, b), backward)
+def _matmul_grads(g, a, b):
+    """The gradients of ``a.data @ b.data``; None for one that needs none."""
+    ga = gb = None
+    if a.requires_grad:
+        ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape)
+    if b.requires_grad:
+        gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape)
+    return ga, gb
 
 
 def linear(x, weight, bias, slope=None):
@@ -300,14 +299,8 @@ def linear(x, weight, bias, slope=None):
     def backward(g):
         if slope is not None:
             g = _leaky_relu_grad(g, arr, s)
-        gx = gw = gb = None
-        if x.requires_grad:
-            gx = _unbroadcast(g @ weight.data.T, x.data.shape)
-        if weight.requires_grad:
-            gw = _unbroadcast(np.swapaxes(x.data, -1, -2) @ g, weight.data.shape)
-        if bias.requires_grad:
-            gb = _unbroadcast(g, bias.data.shape)
-        return gx, gw, gb
+        gx, gw = _matmul_grads(g, x, weight)
+        return gx, gw, (_unbroadcast(g, bias.data.shape) if bias.requires_grad else None)
 
     return _result(arr, (x, weight, bias), backward)
 
@@ -339,9 +332,7 @@ def tsum(a, axis=None, keepdims=False):
     arr = a.data.sum(axis=axis, keepdims=keepdims)
 
     def backward(g):
-        if axis is None:
-            return (np.broadcast_to(g, a.data.shape),)
-        gg = g if keepdims else np.expand_dims(g, axis)
+        gg = g if axis is None or keepdims else np.expand_dims(g, axis)
         return (np.broadcast_to(gg, a.data.shape),)
 
     return _result(np.asarray(arr), (a,), backward)
@@ -353,9 +344,7 @@ def tmean(a, axis=None, keepdims=False):
     inv = 1.0 / n
 
     def backward(g):
-        if axis is None:
-            return (np.broadcast_to(g * inv, a.data.shape),)
-        gg = g if keepdims else np.expand_dims(g, axis)
+        gg = g if axis is None or keepdims else np.expand_dims(g, axis)
         return (np.broadcast_to(gg * inv, a.data.shape),)
 
     return _result(np.asarray(arr), (a,), backward)

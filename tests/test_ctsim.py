@@ -7,6 +7,7 @@ so a consistent-but-wrong scaling cannot pass.
 
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -897,6 +898,48 @@ class TestDataset:
             load_dataset(tmp_path / "ds")
         (tmp_path / "ds" / "manifest").write_bytes(b"geom.pixel_spacing_mm = 1.0\n\xff\n")
         with pytest.raises(ValueError, match="manifest: manifest is not UTF-8"):
+            load_dataset(tmp_path / "ds")
+
+    def test_save_records_the_pairs_pixel_spacing(self, tmp_path):
+        # the manifest passed here has no geom.pixel_spacing_mm key
+        pairs = make_dataset(1, 64, DoseConfig(), seed=0,
+                             geom=default_geometry(64, pixel_spacing_mm=0.7))
+        save_dataset(pairs, tmp_path / "ds", {"data.seed": 0})
+        loaded, meta = load_dataset(tmp_path / "ds")
+        assert meta == {"data.seed": "0", "geom.pixel_spacing_mm": "0.7"}
+        assert loaded[0].ld.pixel_spacing_mm == loaded[0].nd.pixel_spacing_mm == 0.7
+
+    def test_save_refuses_mixed_pixel_spacings(self, tmp_path):
+        grid = np.zeros((8, 8), np.float32)
+        pairs = [TrainingPair(ld=CtImage(grid, HU, sp), nd=CtImage(grid, HU, sp))
+                 for sp in (1.0, 0.7)]
+        with pytest.raises(ValueError, match=r"one pixel spacing, got \[0\.7, 1\.0\]"):
+            save_dataset(pairs, tmp_path / "ds", {})
+        assert not (tmp_path / "ds").exists()
+
+    @pytest.mark.parametrize("line", ["geom.pixel_spacing_mm 0.7", " = 0.7"])
+    def test_manifest_line_that_is_not_key_value_named(self, tmp_path, line):
+        (tmp_path / "manifest").write_text(f"data.seed = 4\n{line}\n")
+        with pytest.raises(ValueError, match=r"manifest:2: expected 'key = value', "
+                                             rf"got {re.escape(repr(line))}"):
+            ctsim.load_manifest(tmp_path / "manifest")
+
+    def test_interrupted_resave_leaves_no_dataset(self, tmp_path, monkeypatch):
+        geom = default_geometry(32, n_views=20)
+        save_dataset(make_dataset(3, 32, DoseConfig(), seed=0, geom=geom), tmp_path / "ds", {})
+        pairs = make_dataset(3, 32, DoseConfig(), seed=1, geom=geom)
+        written = []
+
+        def write_tensor(path, arr):
+            if len(written) == 2:  # both images of pair 0
+                raise OSError("disk full")
+            written.append(path)
+            tctio.write_tensor(path, arr)
+
+        monkeypatch.setattr(ctsim, "write_tensor", write_tensor)
+        with pytest.raises(OSError, match="disk full"):
+            save_dataset(pairs, tmp_path / "ds", {})
+        with pytest.raises(FileNotFoundError, match="no dataset manifest"):
             load_dataset(tmp_path / "ds")
 
     def test_pair_shapes_that_disagree_named(self, tmp_path):

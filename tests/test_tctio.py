@@ -38,6 +38,16 @@ class TestRoundTrip:
         write_tensor(path, arr)
         assert np.array_equal(read_tensor(path), arr)
 
+    @pytest.mark.parametrize("dtype", [">f4", ">f8"])
+    def test_big_endian_input_round_trips(self, tmp_path, dtype):
+        arr = np.linspace(-2, 3, 6).reshape(2, 3).astype(dtype)
+        native = arr.astype(np.dtype(dtype).newbyteorder("="))
+        assert tensor_to_bytes(arr) == tensor_to_bytes(native)
+        write_tensor(tmp_path / "t.tct", arr)
+        back = read_tensor(tmp_path / "t.tct")
+        assert back.dtype == native.dtype
+        assert np.array_equal(back, arr)
+
     def test_multiple_records_in_one_buffer(self):
         a = np.ones((2, 2), dtype=np.float32)
         b = np.zeros(3, dtype=np.float64)
