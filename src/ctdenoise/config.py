@@ -15,6 +15,7 @@ from pathlib import Path
 
 from .ctsim import DoseConfig, ScanGeometry, default_geometry
 from .model import ModelConfig
+from .tctio import format_key_values, parse_key_values
 from .training import TrainConfig
 
 
@@ -78,8 +79,7 @@ class RunConfig:
         return self.values[key]
 
     def dump(self):
-        lines = [f"{k} = {self.values[k]}" for k in sorted(self.values)]
-        return "\n".join(lines) + "\n"
+        return format_key_values({k: self.values[k] for k in sorted(self.values)})
 
     # -- typed views --------------------------------------------------
 
@@ -107,16 +107,12 @@ class RunConfig:
 
 def parse_config_text(text, source="<config>"):
     """Validate config lines into a {key: typed value} dict."""
+    try:
+        entries = parse_key_values(text, source)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     out = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, sep, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
-        if not sep or not key or not value:
-            raise ConfigError(f"{source}:{lineno}: expected 'key = value', got {raw!r}")
+    for lineno, key, value in entries:
         if key not in SCHEMA:
             close = difflib.get_close_matches(key, SCHEMA, n=1)
             hint = f" (did you mean {close[0]!r}?)" if close else ""

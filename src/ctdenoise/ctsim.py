@@ -58,7 +58,7 @@ from pathlib import Path
 import numpy as np
 
 from .checks import check_field_types
-from .tctio import read_tensor, write_tensor
+from .tctio import format_key_values, parse_key_values, read_tensor, write_tensor
 
 HU = "HU"
 MU_PER_MM = "MU_PER_MM"
@@ -657,16 +657,20 @@ def save_dataset(pairs, out_dir, manifest):
     higher-numbered pairs an earlier, larger dataset left in ``out_dir``.
 
     The manifest records the pairs' one pixel spacing as
-    ``geom.pixel_spacing_mm`` unless ``manifest`` sets that key. An earlier
-    manifest is deleted before any pair is written and the new one is
-    written last, so a save cut short leaves nothing ``load_dataset`` reads.
+    ``geom.pixel_spacing_mm``, which a caller's value must equal; a refused
+    manifest writes nothing. An earlier manifest is deleted before any pair
+    is written and the new one last, so a save cut short leaves nothing
+    ``load_dataset`` reads.
     """
-    if "geom.pixel_spacing_mm" not in manifest:
-        spacings = {img.pixel_spacing_mm for pair in pairs for img in (pair.ld, pair.nd)}
-        if len(spacings) != 1:
-            raise ValueError(f"save_dataset needs pairs of one pixel spacing, "
-                             f"got {sorted(spacings)}")
-        manifest = {**manifest, "geom.pixel_spacing_mm": spacings.pop()}
+    spacings = {img.pixel_spacing_mm for pair in pairs for img in (pair.ld, pair.nd)}
+    if len(spacings) != 1:
+        raise ValueError(f"save_dataset needs pairs of one pixel spacing, "
+                         f"got {sorted(spacings)}")
+    spacing = spacings.pop()
+    given = manifest.get("geom.pixel_spacing_mm", spacing)
+    if given != spacing:
+        raise ValueError(f"geom.pixel_spacing_mm {given!r} contradicts the pairs' {spacing}")
+    text = format_key_values({**manifest, "geom.pixel_spacing_mm": spacing})
     out = Path(out_dir)
     (out / "pairs").mkdir(parents=True, exist_ok=True)
     (out / "manifest").unlink(missing_ok=True)
@@ -678,8 +682,7 @@ def save_dataset(pairs, out_dir, manifest):
         pdir.mkdir(exist_ok=True)
         write_tensor(pdir / "ld.tct", pair.ld.grid.astype(np.float32))
         write_tensor(pdir / "nd.tct", pair.nd.grid.astype(np.float32))
-    lines = [f"{k} = {v}" for k, v in manifest.items()]
-    (out / "manifest").write_text("\n".join(lines) + "\n")
+    (out / "manifest").write_text(text, encoding="utf-8")
 
 
 def load_manifest(path):
@@ -687,17 +690,7 @@ def load_manifest(path):
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: manifest is not UTF-8 text: {exc}") from None
-    entries = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, sep, value = line.partition("=")
-        key = key.strip()
-        if not sep or not key:
-            raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-        entries[key] = value.strip()
-    return entries
+    return {key: value for _, key, value in parse_key_values(text, path)}
 
 
 # |HU| beyond this is no CT number (extended scanner scales end near 3e4
@@ -739,7 +732,10 @@ def load_dataset(data_dir):
         if not pdir.name.isdecimal():
             raise ValueError(f"dataset {root}: {pdir.name!r} under pairs/ is not a pair index")
     pairs = []
-    for pdir in sorted(pair_dirs, key=lambda p: int(p.name)):
+    for i, pdir in enumerate(sorted(pair_dirs, key=lambda p: (int(p.name), p.name))):
+        if pdir.name != str(i):  # index i is missing, or a second entry holds an index
+            raise ValueError(f"dataset {root}: pairs/ lacks or repeats pair index "
+                             f"{min(i, int(pdir.name))} (at {pdir.name!r})")
         ld, nd = (_read_pair_image(pdir / name, spacing) for name in ("ld.tct", "nd.tct"))
         try:
             pairs.append(TrainingPair(ld=ld, nd=nd))

@@ -1,8 +1,8 @@
-"""The "TCT1" binary tensor format shared by fixtures and checkpoints.
+"""The package's file formats: "TCT1" tensors and ``key = value`` text.
 
-Layout: magic bytes ``TCT1``, u8 rank, rank little-endian u32 extents,
-u8 dtype tag (0 = float32, 1 = float64), then the raw little-endian
-scalars in row-major order.
+TCT1 (fixtures, checkpoints): magic bytes ``TCT1``, u8 rank, rank u32 extents,
+u8 dtype tag (0 = float32, 1 = float64), then the scalars in row-major order,
+all little-endian. Config files, ``run.cfg`` and manifests are ``key = value``.
 """
 
 from __future__ import annotations
@@ -94,3 +94,26 @@ def read_tensor(path):
     except TensorFormatError as exc:
         raise TensorFormatError(f"{path}: {exc}") from None
     return arr
+
+
+def parse_key_values(text, source):
+    """``(lineno, key, value)`` per ``key = value`` line; ``#`` starts a comment."""
+    entries = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        key, sep, value = (part.strip() for part in line.partition("="))
+        if not sep or not key or not value:
+            raise ValueError(f"{source}:{lineno}: expected 'key = value', got {raw!r}")
+        entries.append((lineno, key, value))
+    return entries
+
+
+def format_key_values(values):
+    """``key = value`` lines; ``ValueError`` names an entry that would not read back."""
+    lines = [f"{key} = {value}\n" for key, value in values.items()]
+    for line, (key, value) in zip(lines, values.items()):
+        if parse_key_values(line, f"entry {key!r}") != [(1, key, f"{value}")]:
+            raise ValueError(f"entry {key!r}: {value!r} would not read back as itself")
+    return "".join(lines)

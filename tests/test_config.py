@@ -98,6 +98,11 @@ class TestLoadRunConfig:
         assert RunConfig(parsed).values == cfg.values
 
 
+    def test_dump_refuses_a_value_that_would_not_read_back(self):
+        cfg = load_run_config(overrides={"model.variant": "full  # the default"})
+        with pytest.raises(ValueError, match=r"entry 'model\.variant'"):
+            cfg.dump()
+
 class TestTypedViews:
     def test_model_config(self):
         cfg = load_run_config(overrides={"model.width": 0.5, "model.n_heads": 2})

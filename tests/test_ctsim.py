@@ -8,6 +8,7 @@ so a consistent-but-wrong scaling cannot pass.
 import math
 import os
 import re
+import shutil
 import subprocess
 import sys
 import tracemalloc
@@ -856,8 +857,9 @@ class TestDataset:
 
     def test_manifest_drops_inline_comments(self, tmp_path):
         # as parse_config_text does: a value ends at the first '#'
-        pairs = make_dataset(1, 32, DoseConfig(), seed=0, geom=default_geometry(32, n_views=20))
-        save_dataset(pairs, tmp_path / "ds", {"geom.pixel_spacing_mm": "0.7  # mm"})
+        geom = default_geometry(32, pixel_spacing_mm=0.7, n_views=20)
+        save_dataset(make_dataset(1, 32, DoseConfig(), seed=0, geom=geom), tmp_path / "ds", {})
+        (tmp_path / "ds" / "manifest").write_text("geom.pixel_spacing_mm = 0.7  # mm\n")
         loaded, meta = load_dataset(tmp_path / "ds")
         assert meta["geom.pixel_spacing_mm"] == "0.7"
         assert loaded[0].ld.pixel_spacing_mm == loaded[0].nd.pixel_spacing_mm == 0.7
@@ -889,10 +891,11 @@ class TestDataset:
 
     def test_manifest_errors_named(self, tmp_path):
         pairs = make_dataset(1, 32, DoseConfig(), seed=0, geom=default_geometry(32, n_views=30))
-        save_dataset(pairs, tmp_path / "ds", {"geom.pixel_spacing_mm": "-1.0"})
+        save_dataset(pairs, tmp_path / "ds", {})
+        (tmp_path / "ds" / "manifest").write_text("geom.pixel_spacing_mm = -1.0\n")
         with pytest.raises(ValueError, match=r"manifest: geom\.pixel_spacing_mm must be finite"):
             load_dataset(tmp_path / "ds")
-        save_dataset(pairs, tmp_path / "ds", {"geom.pixel_spacing_mm": "abc"})
+        (tmp_path / "ds" / "manifest").write_text("geom.pixel_spacing_mm = abc\n")
         with pytest.raises(ValueError, match=r"manifest: geom\.pixel_spacing_mm must be finite "
                                              r"and > 0, got 'abc'"):
             load_dataset(tmp_path / "ds")
@@ -940,6 +943,37 @@ class TestDataset:
         with pytest.raises(OSError, match="disk full"):
             save_dataset(pairs, tmp_path / "ds", {})
         with pytest.raises(FileNotFoundError, match="no dataset manifest"):
+            load_dataset(tmp_path / "ds")
+
+    @pytest.mark.parametrize("given", [0.5, "1.0", "abc"])
+    def test_save_refuses_a_spacing_that_contradicts_the_pairs(self, tmp_path, given):
+        pairs = make_dataset(1, 32, DoseConfig(), seed=0, geom=default_geometry(32, n_views=20))
+        with pytest.raises(ValueError, match=rf"geom\.pixel_spacing_mm {re.escape(repr(given))} "
+                                             r"contradicts the pairs' 1\.0"):
+            save_dataset(pairs, tmp_path / "ds", {"geom.pixel_spacing_mm": given})
+        assert not (tmp_path / "ds").exists()
+
+    @pytest.mark.parametrize("entry", [{"note": "x\ny = 1"}, {"a#b": 1}, {"note": ""}])
+    def test_save_refuses_an_entry_that_would_not_read_back(self, tmp_path, entry):
+        pairs = make_dataset(1, 32, DoseConfig(), seed=0, geom=default_geometry(32, n_views=20))
+        with pytest.raises(ValueError, match=re.escape(f"entry {next(iter(entry))!r}")):
+            save_dataset(pairs, tmp_path / "ds", entry)
+        assert not (tmp_path / "ds").exists()
+
+    def test_missing_pair_index_named(self, tmp_path):
+        pairs = make_dataset(3, 32, DoseConfig(), seed=0, geom=default_geometry(32, n_views=20))
+        save_dataset(pairs, tmp_path / "ds", {})
+        shutil.rmtree(tmp_path / "ds" / "pairs" / "1")
+        with pytest.raises(ValueError, match=r"dataset .*ds: pairs/ lacks or repeats pair "
+                                             r"index 1 \(at '2'\)"):
+            load_dataset(tmp_path / "ds")
+
+    def test_repeated_pair_index_named(self, tmp_path):
+        pairs = make_dataset(3, 32, DoseConfig(), seed=0, geom=default_geometry(32, n_views=20))
+        save_dataset(pairs, tmp_path / "ds", {})
+        shutil.copytree(tmp_path / "ds" / "pairs" / "1", tmp_path / "ds" / "pairs" / "01")
+        with pytest.raises(ValueError, match=r"dataset .*ds: pairs/ lacks or repeats pair "
+                                             r"index 1 \(at '01'\)"):
             load_dataset(tmp_path / "ds")
 
     def test_pair_shapes_that_disagree_named(self, tmp_path):

@@ -159,12 +159,11 @@ STRAY_KINDS = ("file", "empty directory", "copy of pair 0", "pair without nd.tct
 
 
 def test_stray_pair_entries(dataset, tmp_path, capsys):
-    # a decimal name ("01" and the Arabic-Indic digit three included) is
-    # read as a pair, so a stray copy of a pair loads; anything else is an
+    # only "3" holding a whole pair extends the 3-pair dataset; any other
+    # entry ("7", "01" and the Arabic-Indic digit three included) is an
     # error that names the entry or the file it lacks
     rng = np.random.default_rng(6)
     shutil.copy(dataset / "run.cfg", tmp_path)
-    ok = 0
     for trial in range(16):
         data = tmp_path / "data"
         shutil.rmtree(data, ignore_errors=True)
@@ -182,9 +181,9 @@ def test_stray_pair_entries(dataset, tmp_path, capsys):
                 (entry / "nd.tct").unlink()
         try:
             load_or_refuse(data)
-            ok += 1
+            loaded = True
         except (ValueError, OSError):
-            pass
+            loaded = False
         except Exception as exc:
             pytest.fail(f"trial {trial} ({name!r}, {kind}): {type(exc).__name__}: {exc}")
-    assert 0 < ok < 16
+        assert loaded == (name == "3" and kind == "copy of pair 0"), (trial, name, kind)

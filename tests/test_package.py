@@ -56,3 +56,22 @@ def test_every_record_but_the_optimizer_state_is_frozen():
                     and not cls.__dataclass_params__.frozen):
                 mutable.add(f"{module.__name__}.{name}")
     assert mutable == {"ctdenoise.optim.AdamState"}, mutable
+
+
+def test_only_tctio_splits_or_formats_key_value_lines():
+    # config files, run.cfg and manifests share tctio's one grammar and one writer
+    found = []
+    for path in sorted(Path(cd.__file__).parent.glob("*.py")):
+        if path.name == "tctio.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            splits = (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                      and node.func.attr in ("partition", "split") and node.args
+                      and isinstance(node.args[0], ast.Constant)
+                      and node.args[0].value in ("=", "#"))
+            writes = isinstance(node, ast.JoinedStr) and any(
+                isinstance(part, ast.Constant) and part.value.strip() == "="
+                for part in node.values)
+            if splits or writes:
+                found.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
+    assert not found, found

@@ -1,10 +1,13 @@
-"""The framed binary tensor format: byte-level goldens and error offsets."""
+"""The package's file formats: TCT1 byte-level goldens and error offsets,
+and the one ``key = value`` grammar of config files and manifests."""
 
+import re
 import struct
 
 import numpy as np
 import pytest
 
+from ctdenoise import config, ctsim, tctio
 from ctdenoise.tctio import (
     TensorFormatError,
     frame_header,
@@ -192,3 +195,44 @@ class TestErrors:
     def test_rejects_rank_over_limit(self):
         with pytest.raises(ValueError):
             tensor_to_bytes(np.zeros((1,) * 9, dtype=np.float32))
+
+
+class TestKeyValues:
+    # a comment, blanks, an inline '#', padding, then no value, no key and no '='
+    CORPUS = ["# a comment", "", "   ", "data.seed = 4  # inline", "  data.seed=4\t",
+              "data.seed =", "= 4", "data.seed 4"]
+
+    def test_config_and_manifest_read_the_same_lines(self, tmp_path):
+        def outcome(read):
+            try:
+                return {key: str(value) for key, value in read().items()}
+            except ValueError as exc:  # a ConfigError too
+                return str(exc)
+
+        path = tmp_path / "manifest"
+        refused = []
+        for line in self.CORPUS:
+            path.write_text(f"data.n_pairs = 3\n{line}\n", encoding="utf-8")
+            text = path.read_text(encoding="utf-8")
+            read = outcome(lambda: ctsim.load_manifest(path))
+            assert outcome(lambda: config.parse_config_text(text, str(path))) == read, line
+            if isinstance(read, str):
+                refused.append(line)
+                assert read == f"{path}:2: expected 'key = value', got {line!r}"
+        assert refused == self.CORPUS[-3:]
+
+    def test_written_lines_read_back(self):
+        values = {"data.seed": 4, "note": "a = b", "geom.pixel_spacing_mm": 0.7}
+        text = tctio.format_key_values(values)
+        assert text == "data.seed = 4\nnote = a = b\ngeom.pixel_spacing_mm = 0.7\n"
+        assert tctio.parse_key_values(text, "<text>") == [
+            (1, "data.seed", "4"), (2, "note", "a = b"), (3, "geom.pixel_spacing_mm", "0.7")]
+
+    @pytest.mark.parametrize("key, value", [
+        ("note", "x\ny = 1"), ("no\nte", 1), ("note", "x\r"),  # line breaks
+        ("a#b", 1), ("note", "0.7  # mm"),  # a comment
+        ("note", ""), ("note", " 0.7"), ("note", "0.7 "),  # an empty or padded value
+        ("a=b", 1), ("", 1)])
+    def test_writer_names_the_first_entry_that_would_not_read_back(self, key, value):
+        with pytest.raises(ValueError, match=re.escape(f"entry {key!r}")):
+            tctio.format_key_values({"data.seed": 4, key: value, "later#": 1})
